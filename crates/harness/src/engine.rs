@@ -7,7 +7,7 @@ use crate::pool;
 use crate::report::{CellTiming, RunReport};
 use crate::store::ResultStore;
 use bsched_ir::Program;
-use bsched_pipeline::Experiment;
+use bsched_pipeline::{Experiment, SourceProgram};
 use bsched_sim::{SampleConfig, SimEngine, SimMetrics, SimMode};
 use std::collections::HashMap;
 use std::fmt;
@@ -16,14 +16,15 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// The cached outcome of one cell: the simulator metrics plus the
-/// record that the interpreter cross-check passed when the cell was
+/// record that the reference cross-check passed when the cell was
 /// computed (cached cells do not re-run the check — they record it).
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// Timing metrics of the simulated run.
     pub metrics: SimMetrics,
-    /// Whether the compiled program's memory image matched the reference
-    /// interpreter's. The engine refuses to serve `false`.
+    /// Whether the simulated memory image matched the source's reference
+    /// checksum (see `bsched_pipeline::RunResult::checksum_ok`). The
+    /// engine refuses to serve `false`.
     pub checksum_ok: bool,
     /// Whether the `bsched-verify` conformance suite (schedule legality,
     /// weight cross-check, differential replay, metamorphic invariants)
@@ -244,7 +245,10 @@ impl EngineConfig {
 
 /// The engine: kernels, cache layers, pool, and report state.
 pub struct Engine {
-    kernels: Vec<(String, Program)>,
+    /// One shared source handle per kernel: every cell of a kernel
+    /// reuses its program and its reference checksum, interpreted at
+    /// that kernel's first executed cell.
+    kernels: Vec<(String, SourceProgram)>,
     index: HashMap<String, usize>,
     config: EngineConfig,
     store: ResultStore,
@@ -273,6 +277,10 @@ impl Engine {
     /// An engine over an explicit kernel set.
     #[must_use]
     pub fn new(kernels: Vec<(String, Program)>, config: EngineConfig) -> Self {
+        let kernels: Vec<(String, SourceProgram)> = kernels
+            .into_iter()
+            .map(|(name, program)| (name, program.into()))
+            .collect();
         let index = kernels
             .iter()
             .enumerate()
@@ -504,7 +512,13 @@ impl Engine {
     /// A snapshot of the run report.
     #[must_use]
     pub fn report(&self) -> RunReport {
-        self.report.lock().expect("report poisoned").clone()
+        let mut report = self.report.lock().expect("report poisoned").clone();
+        report.reference_runs = self
+            .kernels
+            .iter()
+            .filter(|(_, source)| source.reference_computed())
+            .count() as u64;
+        report
     }
 
     /// Drops the in-memory layers (exact and sampled), keeping the disk
@@ -524,9 +538,9 @@ impl Engine {
 
     fn execute(&self, cell: &ExperimentCell, verify: bool) -> Result<CellResult, HarnessError> {
         let idx = self.index[cell.kernel()];
-        let program = &self.kernels[idx].1;
+        let source = &self.kernels[idx].1;
         let session = Experiment::builder()
-            .program(cell.kernel(), program.clone())
+            .program(cell.kernel(), source.clone())
             .compile_options(*cell.options())
             .engine(self.config.sim_engine)
             .sim_mode(self.config.sim_mode)
@@ -561,9 +575,9 @@ impl Engine {
             // metamorphic identities; its suite instead replays the cell
             // exactly and bounds the estimation error.
             let v = match self.config.sim_mode {
-                SimMode::Exact => bsched_verify::verify_cell(program, cell.options(), &run.metrics),
+                SimMode::Exact => bsched_verify::verify_cell(source, cell.options(), &run.metrics),
                 SimMode::Sampled(s) => {
-                    bsched_verify::verify_cell_sampled(program, cell.options(), s)
+                    bsched_verify::verify_cell_sampled(source, cell.options(), s)
                 }
             };
             if !v.is_clean() {

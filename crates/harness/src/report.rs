@@ -74,6 +74,10 @@ pub struct RunReport {
     pub pool_wall: Duration,
     /// Successful steals across batches.
     pub steals: u64,
+    /// Source programs run on the reference interpreter to obtain their
+    /// reference checksum: at most one per kernel, however many of its
+    /// cells executed.
+    pub reference_runs: u64,
     /// Per-cell wall time of every executed cell.
     pub cell_timings: Vec<CellTiming>,
 }
@@ -174,12 +178,14 @@ impl RunReport {
             let total_busy: Duration = self.worker_busy.iter().sum();
             let _ = writeln!(
                 s,
-                "pool: {} workers, {:.3}s wall, {:.3}s busy ({:.0}% utilization), {} steals",
+                "pool: {} workers, {:.3}s wall, {:.3}s busy ({:.0}% utilization), {} steals, \
+                 {} reference runs",
                 self.workers,
                 self.pool_wall.as_secs_f64(),
                 total_busy.as_secs_f64(),
                 self.utilization() * 100.0,
-                self.steals
+                self.steals,
+                self.reference_runs
             );
             let (hits, misses, entries) = bsched_ir::analysis::cache_stats();
             if hits + misses > 0 {

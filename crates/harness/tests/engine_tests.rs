@@ -3,7 +3,7 @@
 
 use bsched_harness::{Engine, EngineConfig, ExperimentCell, HarnessError};
 use bsched_ir::Program;
-use bsched_pipeline::{CompileOptions, SchedulerKind};
+use bsched_pipeline::{standard_grid, CompileOptions, SchedulerKind};
 use bsched_workloads::lang::ast::{Expr, Index};
 use bsched_workloads::lang::{ArrayInit, Kernel};
 use std::path::PathBuf;
@@ -81,6 +81,26 @@ fn results_are_identical_across_worker_counts() {
             None => baseline = Some(fp),
             Some(b) => assert_eq!(b, &fp, "worker count changed the results"),
         }
+    }
+}
+
+#[test]
+fn each_kernel_is_interpreted_once_per_engine() {
+    let cells: Vec<ExperimentCell> = standard_grid()
+        .iter()
+        .map(|c| ExperimentCell::new("alpha", c.options()))
+        .collect();
+    for jobs in [1usize, 2] {
+        let cfg = EngineConfig::default()
+            .with_jobs(jobs)
+            .with_disk_cache(false);
+        let engine = Engine::new(kernels(), cfg);
+        assert_eq!(engine.report().reference_runs, 0, "nothing runs up front");
+        engine.run(&cells).expect("grid runs");
+        let report = engine.report();
+        assert_eq!(report.executed, 15, "{jobs} workers");
+        assert_eq!(report.reference_runs, 1, "{jobs} workers");
+        assert!(report.render().contains(", 1 reference runs\n"), "{jobs} workers");
     }
 }
 

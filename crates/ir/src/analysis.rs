@@ -338,6 +338,11 @@ fn global_cache() -> &'static GlobalCache {
 
 /// Looks up (or computes and caches) the analysis for a DAG by
 /// structural identity. Used by [`Dag::analysis`]; exposed for tests.
+///
+/// The analysis is computed outside the lock, so two threads can race
+/// on the same new key; the insert re-checks under the lock, and the
+/// loser counts a hit and returns the winner's `Arc`. Each retained key
+/// thus has one canonical `Arc` and one miss, whatever the interleaving.
 #[must_use]
 pub fn cached_analysis(dag: &Dag, insts: &[Inst]) -> Arc<DagAnalysis> {
     let cache = global_cache();
@@ -346,9 +351,13 @@ pub fn cached_analysis(dag: &Dag, insts: &[Inst]) -> Arc<DagAnalysis> {
         cache.hits.fetch_add(1, Ordering::Relaxed);
         return Arc::clone(hit);
     }
-    cache.misses.fetch_add(1, Ordering::Relaxed);
     let analysis = Arc::new(DagAnalysis::compute(dag, insts));
     let mut map = cache.map.lock().expect("analysis cache poisoned");
+    if let Some(winner) = map.get(&key) {
+        cache.hits.fetch_add(1, Ordering::Relaxed);
+        return Arc::clone(winner);
+    }
+    cache.misses.fetch_add(1, Ordering::Relaxed);
     if map.len() < CACHE_CAP {
         map.insert(key, Arc::clone(&analysis));
     }
@@ -515,5 +524,31 @@ mod tests {
         assert!(hits >= 1);
         assert!(misses >= 2);
         assert!(entries >= 2);
+    }
+
+    #[test]
+    fn racing_misses_share_one_canonical_analysis() {
+        // A shape no other test builds: a 23-load chain where each load
+        // addresses through the previous one.
+        let insts: Vec<Inst> = (0..23u32)
+            .map(|k| Inst::load(r(k + 1), r(k), 8).with_region(RegionId::new(k as usize)))
+            .collect();
+        let barrier = std::sync::Barrier::new(8);
+        let got: Vec<Arc<DagAnalysis>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        let dag = Dag::new(&insts);
+                        barrier.wait();
+                        cached_analysis(&dag, &insts)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(
+            got.iter().all(|a| Arc::ptr_eq(a, &got[0])),
+            "every racer gets the one retained analysis"
+        );
     }
 }

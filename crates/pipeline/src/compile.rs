@@ -1,6 +1,7 @@
 //! The compilation pipeline.
 
 use crate::options::CompileOptions;
+use crate::source::SourceProgram;
 use bsched_core::{schedule_function_audited, schedule_function_stats, ExactStats, ScheduleAudit};
 use bsched_ir::{ExecError, Interp, Program, VerifyError};
 use bsched_opt::{
@@ -13,7 +14,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 /// Pipeline failures.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum PipelineError {
     /// The IR verifier rejected the program (before or after a pass).
     Verify(VerifyError),
@@ -98,28 +99,47 @@ pub struct Compiled {
     note = "use `Experiment::builder()…build()?.compile()` instead"
 )]
 pub fn compile(source: &Program, opts: &CompileOptions) -> Result<Compiled, PipelineError> {
-    compile_impl(source, opts)
+    compile_impl(&SourceProgram::new(source.clone()), opts)
 }
 
 /// The phase-order implementation behind [`compile`] and
-/// [`crate::Session::compile`].
+/// [`crate::Session::compile`]: the source's (memoized) reference
+/// checksum, the passes, and a final run of the compiled program on the
+/// reference interpreter, whose checksum must equal the reference.
+/// Compiling without simulating leaves the interpreter as the only
+/// executor that can check the compiled code; [`crate::Session::run`]
+/// uses the simulator's checksum instead.
 pub(crate) fn compile_impl(
-    source: &Program,
+    source: &SourceProgram,
     opts: &CompileOptions,
 ) -> Result<Compiled, PipelineError> {
+    let reference = source.reference()?;
     let mut sink = None;
-    compile_inner(source, opts, false, &mut sink)
+    compile_inner(source.program(), opts, Some(reference), false, &mut sink)
 }
 
 /// [`compile_impl`] that also returns the basic-block scheduling audit
 /// (pre-schedule regions, weights, emitted orders) for the verifier.
 pub(crate) fn compile_audited_impl(
-    source: &Program,
+    source: &SourceProgram,
     opts: &CompileOptions,
 ) -> Result<(Compiled, ScheduleAudit), PipelineError> {
+    let reference = source.reference()?;
     let mut sink = None;
-    let compiled = compile_inner(source, opts, true, &mut sink)?;
+    let compiled = compile_inner(source.program(), opts, Some(reference), true, &mut sink)?;
     Ok((compiled, sink.expect("audited compile records an audit")))
+}
+
+/// The phase order without the post-compile interpreter check, for
+/// callers that execute the compiled program themselves and compare its
+/// checksum to the reference (see [`crate::run`]). `source` must have
+/// passed the IR verifier, as [`SourceProgram::reference`] ensures.
+pub(crate) fn compile_unchecked(
+    source: &Program,
+    opts: &CompileOptions,
+) -> Result<Compiled, PipelineError> {
+    let mut sink = None;
+    compile_inner(source, opts, None, false, &mut sink)
 }
 
 /// Runs one pass under a `pipeline.pass` span recording before/after
@@ -142,9 +162,13 @@ fn traced_pass<R>(
     result
 }
 
+/// The phase order on a verified `source`. With `reference` set, the
+/// compiled program is run on the reference interpreter and must
+/// reproduce that checksum.
 fn compile_inner(
     source: &Program,
     opts: &CompileOptions,
+    reference: Option<u64>,
     audited: bool,
     sink: &mut Option<ScheduleAudit>,
 ) -> Result<Compiled, PipelineError> {
@@ -153,8 +177,6 @@ fn compile_inner(
     if compile_span.is_live() {
         compile_span = compile_span.arg("before", source.main().inst_count() as u64);
     }
-    bsched_ir::verify_program(source)?;
-    let reference = Interp::new(source).run()?;
 
     let mut p = source.clone();
     let mut stats = CompileStats::default();
@@ -256,11 +278,12 @@ fn compile_inner(
     stats.static_insts = p.main().inst_count();
 
     // 8. Semantic cross-check against the reference interpreter.
-    let compiled = Interp::new(&p).run()?;
-    if compiled.checksum != reference.checksum {
-        return Err(PipelineError::ChecksumMismatch {
-            stage: "full pipeline",
-        });
+    if let Some(reference) = reference {
+        if Interp::new(&p).run()?.checksum != reference {
+            return Err(PipelineError::ChecksumMismatch {
+                stage: "full pipeline",
+            });
+        }
     }
     compile_span.finish(&[("after", stats.static_insts as u64)]);
     Ok(Compiled { program: p, stats })
@@ -301,7 +324,7 @@ mod tests {
 
     #[test]
     fn every_configuration_compiles_and_matches_reference() {
-        let p = sample();
+        let p = SourceProgram::from(sample());
         for scheduler in [SchedulerKind::Traditional, SchedulerKind::Balanced] {
             for unroll in [None, Some(4), Some(8)] {
                 for trace in [false, true] {
@@ -325,7 +348,7 @@ mod tests {
 
     #[test]
     fn predication_reported_and_size_limit_respected() {
-        let p = sample();
+        let p = SourceProgram::from(sample());
         let o = CompileOptions::new(SchedulerKind::Balanced).with_unroll(4);
         let c = compile_impl(&p, &o).unwrap();
         assert!(c.stats.predicated >= 1, "the if is predicated");
@@ -348,7 +371,7 @@ mod tests {
             Expr::load(a, Index::of(i)) * Expr::Float(2.0),
         )];
         k.push(k.for_loop(i, Expr::Int(0), Expr::Int(64), body));
-        let p = k.lower();
+        let p = SourceProgram::from(k.lower());
         let o = CompileOptions::new(SchedulerKind::Balanced).with_unroll(4);
         let c = compile_impl(&p, &o).unwrap();
         assert!(c.stats.unrolled_loops >= 1);
@@ -357,7 +380,7 @@ mod tests {
 
     #[test]
     fn locality_consumes_loops_from_generic_unrolling() {
-        let p = sample();
+        let p = SourceProgram::from(sample());
         let o = CompileOptions::new(SchedulerKind::Balanced)
             .with_unroll(4)
             .with_locality();

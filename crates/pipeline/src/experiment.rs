@@ -23,8 +23,9 @@
 //! unknown name errors with the list of valid choices), applies the
 //! optimization level, and resolves the effective [`CompileOptions`].
 //! [`Session`] is the frozen, validated configuration; [`Session::run`]
-//! compiles, simulates, and cross-checks against the reference
-//! interpreter, and [`Session::compile`] stops after code generation.
+//! compiles, simulates, and cross-checks the simulator's result against
+//! the reference interpreter's, and [`Session::compile`] stops after
+//! code generation.
 //!
 //! The pre-0.3 free functions (`compile`, `compile_and_run`) and the
 //! `Runner` memoizer remain as `#[deprecated]` shims over the same
@@ -34,6 +35,7 @@ use crate::compile::{compile_impl, Compiled, PipelineError};
 use crate::experiments::ConfigKind;
 use crate::options::CompileOptions;
 use crate::run::{run_impl, RunResult};
+use crate::source::SourceProgram;
 use bsched_core::{SchedulerKind, TieBreak};
 use bsched_ir::Program;
 use bsched_sim::{MachineSpec, SimConfig, SimEngine, SimMode};
@@ -171,7 +173,7 @@ impl Experiment {
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentBuilder {
     kernel: Option<String>,
-    program: Option<(String, Program)>,
+    program: Option<(String, SourceProgram)>,
     config: ConfigKind2,
     scheduler: SchedulerKind,
     sim: Option<SimConfig>,
@@ -207,11 +209,13 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Supplies an explicit program (custom kernels, the harness).
+    /// Supplies an explicit program (custom kernels, the harness):
+    /// a [`Program`], or a [`SourceProgram`] handle whose memoized
+    /// reference is then shared with every other session built from it.
     /// Overrides [`kernel`](Self::kernel).
     #[must_use]
-    pub fn program(mut self, name: impl Into<String>, program: Program) -> Self {
-        self.program = Some((name.into(), program));
+    pub fn program(mut self, name: impl Into<String>, program: impl Into<SourceProgram>) -> Self {
+        self.program = Some((name.into(), program.into()));
         self
     }
 
@@ -380,7 +384,7 @@ impl ExperimentBuilder {
         let (name, program) = match (self.program, self.kernel) {
             (Some((name, program)), _) => (name, program),
             (None, Some(name)) => {
-                let program = resolve_kernel(&name)?;
+                let program = resolve_kernel(&name)?.into();
                 (name, program)
             }
             (None, None) => return Err(ExperimentError::MissingProgram),
@@ -431,7 +435,7 @@ impl ExperimentBuilder {
 #[derive(Debug, Clone)]
 pub struct Session {
     name: String,
-    program: Program,
+    program: SourceProgram,
     options: CompileOptions,
     trace: bool,
     engine: SimEngine,
@@ -448,7 +452,7 @@ impl Session {
     /// The source program.
     #[must_use]
     pub fn source(&self) -> &Program {
-        &self.program
+        self.program.program()
     }
 
     /// The resolved compile options.
@@ -489,23 +493,29 @@ impl Session {
         self.trace.then(bsched_trace::enable_scope)
     }
 
-    /// Compiles and simulates, cross-checking the simulator's memory
-    /// against the reference interpreter.
+    /// Compiles and simulates, comparing the simulator's memory checksum
+    /// with the source's reference (interpreted once per
+    /// [`SourceProgram`]). The compiled program is interpreted only
+    /// when the two differ, to tell a miscompile (an error) from a
+    /// simulator divergence ([`RunResult::checksum_ok`] `== false`).
     ///
     /// # Errors
     ///
-    /// Propagates [`PipelineError`]s from compilation and simulation.
+    /// Propagates [`PipelineError`]s from compilation and simulation,
+    /// and [`PipelineError::ChecksumMismatch`] on a miscompile.
     pub fn run(&self) -> Result<RunResult, PipelineError> {
         let _trace = self.trace_scope();
         run_impl(&self.program, &self.options, self.engine, self.sim_mode)
     }
 
     /// Compiles only (no simulation): the full phase order through
-    /// register allocation.
+    /// register allocation, then the compiled program on the reference
+    /// interpreter, whose checksum must equal the source's reference.
     ///
     /// # Errors
     ///
-    /// Propagates [`PipelineError`]s from compilation.
+    /// Propagates [`PipelineError`]s from compilation, and
+    /// [`PipelineError::ChecksumMismatch`] on a miscompile.
     pub fn compile(&self) -> Result<Compiled, PipelineError> {
         let _trace = self.trace_scope();
         compile_impl(&self.program, &self.options)

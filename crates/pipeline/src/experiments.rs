@@ -150,7 +150,7 @@ impl Runner {
         let key = (kernel_name.to_string(), format!("{:?}", config.options()));
         if !self.cache.contains_key(&key) {
             let result = run_impl(
-                program,
+                &crate::source::SourceProgram::new(program.clone()),
                 &config.options(),
                 bsched_sim::SimEngine::default(),
                 bsched_sim::SimMode::Exact,

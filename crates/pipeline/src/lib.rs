@@ -14,7 +14,10 @@
 //! and then executed on the Alpha 21164-like timing simulator. Every
 //! compiled configuration is cross-checked against the reference
 //! interpreter: the observable memory checksum must match the unoptimized
-//! program's.
+//! program's. That reference is computed once per [`SourceProgram`] and
+//! shared by every configuration compiled from it; a run compares the
+//! simulator's checksum to it, a compile-only call interprets the
+//! compiled program.
 //!
 //! ```
 //! use bsched_pipeline::{Experiment, OptLevel, SchedulerKind};
@@ -52,6 +55,7 @@ pub mod experiment;
 pub mod experiments;
 pub mod options;
 pub mod run;
+pub mod source;
 pub mod table;
 
 pub use bsched_core::{SchedulerKind, TieBreak};
@@ -69,4 +73,5 @@ pub use options::CompileOptions;
 #[allow(deprecated)]
 pub use run::compile_and_run;
 pub use run::RunResult;
+pub use source::SourceProgram;
 pub use table::Table;

@@ -1,7 +1,8 @@
 //! Compile-and-simulate entry point.
 
-use crate::compile::{compile_impl, CompileStats, PipelineError};
+use crate::compile::{compile_unchecked, CompileStats, PipelineError};
 use crate::options::CompileOptions;
+use crate::source::SourceProgram;
 use bsched_ir::{Interp, Program};
 use bsched_sim::{SampleStats, SimEngine, SimMetrics, SimMode, Simulator};
 
@@ -13,10 +14,15 @@ pub struct RunResult {
     pub metrics: SimMetrics,
     /// Compilation statistics.
     pub compile: CompileStats,
-    /// `true` when the simulator's final memory matched the reference
-    /// interpreter's (always checked; a `false` here is a simulator bug).
-    /// Sampled runs derive their checksum from an exact functional pass,
-    /// so the cross-check holds there too.
+    /// `true` when the simulator's final memory checksum matched the
+    /// source's reference checksum. The simulator is the run's only
+    /// executor of the compiled code; on a mismatch the reference
+    /// interpreter replays the compiled program to tell the two causes
+    /// apart: a miscompile fails the run with
+    /// [`PipelineError::ChecksumMismatch`], so a `false` here means the
+    /// compiled code is right and the simulator diverged (a simulator
+    /// bug). Sampled runs derive their checksum from an exact
+    /// functional pass, so the check holds there too.
     pub checksum_ok: bool,
     /// Sampling summary when the run was sampled; `None` for exact runs.
     pub sample: Option<SampleStats>,
@@ -35,30 +41,61 @@ pub fn compile_and_run(
     source: &Program,
     opts: &CompileOptions,
 ) -> Result<RunResult, PipelineError> {
-    run_impl(source, opts, SimEngine::default(), SimMode::Exact)
+    run_impl(
+        &SourceProgram::new(source.clone()),
+        opts,
+        SimEngine::default(),
+        SimMode::Exact,
+    )
 }
 
 /// The implementation behind [`compile_and_run`] and
-/// [`crate::Session::run`].
+/// [`crate::Session::run`]: the source's memoized reference, the phase
+/// order without its interpreter check, then the simulator, whose
+/// checksum stands in for that check.
 pub(crate) fn run_impl(
-    source: &Program,
+    source: &SourceProgram,
     opts: &CompileOptions,
     engine: SimEngine,
     mode: SimMode,
 ) -> Result<RunResult, PipelineError> {
-    let compiled = compile_impl(source, opts)?;
-    let reference = Interp::new(source).run()?;
+    let reference = source.reference()?;
+    let compiled = compile_unchecked(source.program(), opts)?;
     let machine = bsched_sim::MachineSpec::custom(opts.sim);
     let sim = Simulator::for_machine(&compiled.program, &machine)
         .with_engine(engine)
         .with_mode(mode)
         .run()?;
+    let checksum_ok = classify_checksum(sim.checksum, reference, || {
+        Ok(Interp::new(&compiled.program).run()?.checksum)
+    })?;
     Ok(RunResult {
         metrics: sim.metrics,
         compile: compiled.stats,
-        checksum_ok: sim.checksum == reference.checksum,
+        checksum_ok,
         sample: sim.sample,
     })
+}
+
+/// Compares the simulator's checksum to the reference. Only on a
+/// mismatch does it run `interpret` (the compiled program on the
+/// reference interpreter) to classify the failure: the compiled code
+/// disagreeing with the reference is a miscompile and an error;
+/// otherwise the simulator diverged and the result is `Ok(false)`.
+fn classify_checksum(
+    sim: u64,
+    reference: u64,
+    interpret: impl FnOnce() -> Result<u64, PipelineError>,
+) -> Result<bool, PipelineError> {
+    if sim == reference {
+        return Ok(true);
+    }
+    if interpret()? != reference {
+        return Err(PipelineError::ChecksumMismatch {
+            stage: "full pipeline",
+        });
+    }
+    Ok(false)
 }
 
 #[cfg(test)]
@@ -128,5 +165,42 @@ mod tests {
         let la = run_one(&p, CompileOptions::new(SchedulerKind::Balanced).with_locality());
         assert!(la.checksum_ok);
         assert!(la.compile.locality.hits_marked > 0);
+    }
+
+    fn is_miscompile<T>(r: Result<T, PipelineError>) -> bool {
+        matches!(r, Err(PipelineError::ChecksumMismatch { stage }) if stage == "full pipeline")
+    }
+
+    #[test]
+    fn checksum_classification() {
+        let never = || panic!("matching checksums need no replay");
+        assert!(classify_checksum(7, 7, never).unwrap());
+        // The compiled code reproduces the reference: the simulator diverged.
+        assert!(!classify_checksum(8, 7, || Ok(7)).unwrap());
+        // The compiled code does not: a miscompile.
+        assert!(is_miscompile(classify_checksum(8, 7, || Ok(8))));
+        // A replay that fails (runaway loop, wild store) is an error.
+        let runaway = bsched_ir::ExecError::OutOfFuel { fuel: 1 };
+        let failed = classify_checksum(8, 7, || Err(PipelineError::Exec(runaway)));
+        assert!(matches!(failed, Err(PipelineError::Exec(_))));
+    }
+
+    #[test]
+    fn wrong_reference_is_a_miscompile_on_both_paths() {
+        let p = stream_kernel(64);
+        let truth = Interp::new(&p).run().unwrap().checksum;
+        let session = |reference: u64| {
+            Experiment::builder()
+                .program("lying", SourceProgram::with_reference(p.clone(), reference))
+                .scheduler(SchedulerKind::Balanced)
+                .build()
+                .unwrap()
+        };
+        let wrong = session(truth ^ 1);
+        assert!(is_miscompile(wrong.run()));
+        assert!(is_miscompile(wrong.compile()));
+        let right = session(truth);
+        assert!(right.run().unwrap().checksum_ok);
+        assert!(right.compile().is_ok());
     }
 }

@@ -46,8 +46,7 @@ pub use metamorphic::{
     allhit_config, check_allhit_closeness, check_metrics, stall_sum, MetaViolation,
 };
 
-use bsched_ir::Program;
-use bsched_pipeline::{CompileOptions, Experiment};
+use bsched_pipeline::{CompileOptions, Experiment, SourceProgram};
 use bsched_sim::{SampleConfig, SimMetrics};
 
 /// The verdict on one grid cell.
@@ -75,16 +74,21 @@ impl CellVerification {
 /// interpreter, simulate the compiled program under both engines (which
 /// must agree bit for bit), and check the metamorphic invariants on
 /// `metrics` (the simulated run the caller already has).
+///
+/// `source` is the kernel's shared handle, so the audited recompile
+/// reuses its memoized reference checksum;
+/// [`differential::check_checksum`] still interprets both programs
+/// itself, as the independent oracle.
 #[must_use]
 pub fn verify_cell(
-    program: &Program,
+    source: &SourceProgram,
     options: &CompileOptions,
     metrics: &SimMetrics,
 ) -> CellVerification {
     let mut regions = 0;
     let mut violations = Vec::new();
     let session = Experiment::builder()
-        .program("cell", program.clone())
+        .program("cell", source.clone())
         .compile_options(*options)
         .build()
         .expect("program is supplied directly");
@@ -145,14 +149,14 @@ pub fn verify_cell(
 /// that independently-scaled cluster estimates need not satisfy.
 #[must_use]
 pub fn verify_cell_sampled(
-    program: &Program,
+    source: &SourceProgram,
     options: &CompileOptions,
     sample: SampleConfig,
 ) -> CellVerification {
     let mut regions = 0;
     let mut violations = Vec::new();
     let session = Experiment::builder()
-        .program("cell", program.clone())
+        .program("cell", source.clone())
         .compile_options(*options)
         .build()
         .expect("program is supplied directly");
@@ -201,40 +205,40 @@ mod tests {
 
     #[test]
     fn a_real_cell_verifies_clean() {
-        let program = resolve_kernel("TRFD").unwrap();
+        let source = SourceProgram::from(resolve_kernel("TRFD").unwrap());
         let options = CompileOptions::new(SchedulerKind::Balanced);
         let session = Experiment::builder()
-            .program("TRFD", program.clone())
+            .program("TRFD", source.clone())
             .compile_options(options)
             .build()
             .unwrap();
         let run = session.run().unwrap();
-        let v = verify_cell(&program, &options, &run.metrics);
+        let v = verify_cell(&source, &options, &run.metrics);
         assert!(v.regions > 0);
         assert!(v.is_clean(), "violations: {:#?}", v.violations);
     }
 
     #[test]
     fn a_real_cell_verifies_clean_under_sampling() {
-        let program = resolve_kernel("TRFD").unwrap();
+        let source = SourceProgram::from(resolve_kernel("TRFD").unwrap());
         let options = CompileOptions::new(SchedulerKind::Balanced);
-        let v = verify_cell_sampled(&program, &options, SampleConfig::default());
+        let v = verify_cell_sampled(&source, &options, SampleConfig::default());
         assert!(v.regions > 0);
         assert!(v.is_clean(), "violations: {:#?}", v.violations);
     }
 
     #[test]
     fn corrupted_metrics_fail_the_cell() {
-        let program = resolve_kernel("TRFD").unwrap();
+        let source = SourceProgram::from(resolve_kernel("TRFD").unwrap());
         let options = CompileOptions::new(SchedulerKind::Balanced);
         let session = Experiment::builder()
-            .program("TRFD", program.clone())
+            .program("TRFD", source.clone())
             .compile_options(options)
             .build()
             .unwrap();
         let mut metrics = session.run().unwrap().metrics;
         metrics.cycles = 1; // below any plausible accounting floor
-        let v = verify_cell(&program, &options, &metrics);
+        let v = verify_cell(&source, &options, &metrics);
         assert!(!v.is_clean());
     }
 }

@@ -21,12 +21,16 @@ run_smoke() {
     BSCHED_JOBS="$1" BSCHED_CACHE_DIR="$SMOKE_CACHE" \
         ./target/release/all_experiments --kernels ARC2D,TRFD
 }
-cold="$(run_smoke 2)"
+cold="$(run_smoke 2 2>"$SMOKE_CACHE/cold.err")"
 warm="$(run_smoke 1)"
 [ "$cold" = "$warm" ] || { echo "FAIL: cold/warm or 2-vs-1-worker output differs"; exit 1; }
 # Header + 2 kernels x 15 configurations.
 lines="$(printf '%s\n' "$cold" | wc -l)"
 [ "$lines" -eq 31 ] || { echo "FAIL: expected 31 output lines, got $lines"; exit 1; }
+# Each kernel's source is interpreted once for its reference checksum,
+# however many of its 15 cells execute: 2 kernels, 2 reference runs.
+grep -q ", 2 reference runs$" "$SMOKE_CACHE/cold.err" \
+    || { cat "$SMOKE_CACHE/cold.err"; echo "FAIL: expected 2 reference runs"; exit 1; }
 
 echo "== verify gate: conformance suite on 2 kernels + fuzz smoke =="
 # Re-runs the same subset under --verify: every cell's schedule is

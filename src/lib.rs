@@ -55,6 +55,6 @@ pub use bsched_workloads as workloads;
 
 pub use bsched_pipeline::{
     resolve_kernel, CompileOptions, ConfigKind, Experiment, ExperimentBuilder, ExperimentError,
-    OptLevel, RunResult, SchedulerKind, Session, TieBreak,
+    OptLevel, RunResult, SchedulerKind, Session, SourceProgram, TieBreak,
 };
 pub use bsched_sim::{MachineSpec, SimConfig};

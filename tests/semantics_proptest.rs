@@ -1,8 +1,9 @@
 //! Randomized semantics testing: random kernels run through every
 //! optimization pipeline must preserve the observable memory image.
 //!
-//! The pipeline itself cross-checks each compilation against the
-//! reference interpreter (`PipelineError::ChecksumMismatch`), so the
+//! `Session::compile` cross-checks each compilation: it interprets the
+//! compiled program and compares its checksum with the source's
+//! reference (`PipelineError::ChecksumMismatch` on a difference), so the
 //! property here is simply "compilation succeeds" over a randomized
 //! kernel space that exercises loops, strides, nested conditionals,
 //! selects, reductions and 2-D accesses. Plans come from the
