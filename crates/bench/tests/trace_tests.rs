@@ -9,10 +9,15 @@
 //! * **Schema** — the `--trace-json` export matches a golden snapshot
 //!   (`tests/golden/trace_trfd.txt`, refresh with `UPDATE_GOLDEN=1`), and
 //!   a schema-version bump makes old readers fail loudly, not silently.
+//! * **Grouped attribution** — cells sharing a compile key record one
+//!   compile between them and one simulation each.
 //! * **Atomic reports** — under high `BSCHED_JOBS` the stderr run report
 //!   is one untorn block.
 
-use bsched_pipeline::{resolve_kernel, standard_grid, Experiment};
+use bsched_harness::{Engine, EngineConfig, ExperimentCell};
+use bsched_pipeline::{
+    resolve_kernel, standard_grid, CompileOptions, Experiment, MachineSpec, SchedulerKind,
+};
 use bsched_trace::{points, ParsedTrace, TraceReadError, TraceReport, TRACE_SCHEMA_VERSION};
 use bsched_util::Prng;
 use std::path::PathBuf;
@@ -125,6 +130,51 @@ fn load_interlock_attribution_is_conserved_across_the_grid() {
                 "{cell}: sim.run span disagrees with metrics"
             );
         }
+    }
+}
+
+/// Under compile grouping, a batch's cells that differ only in machine
+/// share one compile: one `pipeline.compile` span per compile key,
+/// inside the group's first `harness.cell` span, while every cell span
+/// still holds exactly its own `sim.run`.
+#[test]
+fn grouped_cells_trace_one_compile_per_key_and_one_run_per_cell() {
+    let _serial = TEST_LOCK.lock().unwrap();
+    let program = resolve_kernel("TRFD").expect("kernel resolves");
+    let mut cells = Vec::new();
+    for machine in ["alpha21164", "wide4", "blocking21164"] {
+        let machine: MachineSpec = machine.parse().expect("registry machine");
+        for arm in [SchedulerKind::Traditional, SchedulerKind::Balanced] {
+            let opts = CompileOptions::new(arm)
+                .with_unroll(4)
+                .with_sim(machine.config());
+            cells.push(ExperimentCell::new("TRFD", opts));
+        }
+    }
+    let keys: std::collections::HashSet<&str> =
+        cells.iter().map(ExperimentCell::compile_key).collect();
+    assert_eq!(keys.len(), 2);
+    let cfg = EngineConfig::default().with_jobs(2).with_disk_cache(false);
+    let engine = Engine::new(vec![("TRFD".to_string(), program)], cfg);
+    let (ran, events) = bsched_trace::capture(|| engine.run(&cells));
+    ran.expect("batch runs");
+    let of = |id| events.iter().filter(move |e| e.id == id);
+    let inside = |outer: &bsched_trace::Event, e: &bsched_trace::Event| {
+        e.tid == outer.tid
+            && e.ts_ns >= outer.ts_ns
+            && e.ts_ns + e.dur_ns <= outer.ts_ns + outer.dur_ns
+    };
+    let compiles: Vec<_> = of(points::PIPELINE_COMPILE).collect();
+    assert_eq!(compiles.len(), keys.len(), "one compile per compile key");
+    let cell_spans: Vec<_> = of(points::HARNESS_CELL).collect();
+    assert_eq!(cell_spans.len(), cells.len());
+    for cell in &cell_spans {
+        let runs = of(points::SIM_RUN).filter(|r| inside(cell, r)).count();
+        assert_eq!(runs, 1, "{}: one sim.run per cell span", cell.label);
+    }
+    for compile in &compiles {
+        let holders = cell_spans.iter().filter(|c| inside(c, compile)).count();
+        assert_eq!(holders, 1, "each compile sits in exactly one cell span");
     }
 }
 

@@ -36,7 +36,8 @@ use std::hash::{Hash, Hasher};
 pub const CACHE_SCHEMA_VERSION: u32 = 5;
 
 /// One deduplicated unit of experimental work: a kernel compiled under
-/// one full option set (the options embed the simulated machine).
+/// one full option set (the options embed the simulated machine) — a
+/// compile key × a machine.
 ///
 /// Equality, ordering and hashing all go through the canonical key, so
 /// two cells built independently from equal inputs collapse to one grid
@@ -47,17 +48,20 @@ pub struct ExperimentCell {
     kernel: String,
     opts: CompileOptions,
     canon: String,
+    /// Length of the [`compile_key`](Self::compile_key) prefix of `canon`.
+    compile_len: usize,
 }
 
 impl ExperimentCell {
     /// Builds a cell and precomputes its canonical key.
     #[must_use]
     pub fn new(kernel: &str, opts: CompileOptions) -> Self {
-        let canon = canonical_key(kernel, &opts);
+        let (canon, compile_len) = canonical_key(kernel, &opts);
         ExperimentCell {
             kernel: kernel.to_string(),
             opts,
             canon,
+            compile_len,
         }
     }
 
@@ -78,6 +82,16 @@ impl ExperimentCell {
     #[must_use]
     pub fn canonical_key(&self) -> &str {
         &self.canon
+    }
+
+    /// The canonical key without its machine part: every field that
+    /// can change the compiled program. Compilation never reads the
+    /// simulated machine, so cells that differ only in machine share
+    /// this key — and one compile. A prefix of
+    /// [`canonical_key`](Self::canonical_key).
+    #[must_use]
+    pub fn compile_key(&self) -> &str {
+        &self.canon[..self.compile_len]
     }
 
     /// Stable FNV-1a content hash of the canonical key — the address of
@@ -125,7 +139,11 @@ impl std::fmt::Display for ExperimentCell {
 /// in *any* field — including ablation knobs like `weight_cap` or the
 /// write-buffer depth — produce different keys, while label collisions
 /// (e.g. two configs that both print as `BS+LU4`) cannot alias.
-fn canonical_key(kernel: &str, o: &CompileOptions) -> String {
+///
+/// Every compile field is written before the machine, so the key's
+/// first `n` bytes, with `n` the returned length, are the cell's
+/// compile key.
+fn canonical_key(kernel: &str, o: &CompileOptions) -> (String, usize) {
     let mut s = String::with_capacity(256);
     let _ = write!(s, "v{CACHE_SCHEMA_VERSION};kernel={kernel}");
     let _ = write!(s, ";sched={}", scheduler_tag(o.scheduler));
@@ -149,8 +167,9 @@ fn canonical_key(kernel: &str, o: &CompileOptions) -> String {
     let _ = write!(s, ";selective={}", u8::from(o.selective));
     let _ = write!(s, ";refweights={}", u8::from(o.reference_weights));
     let _ = write!(s, ";exact_budget={}", o.exact_budget);
+    let compile_len = s.len();
     canon_sim(&o.sim, &mut s);
-    s
+    (s, compile_len)
 }
 
 fn scheduler_tag(k: SchedulerKind) -> &'static str {
@@ -240,54 +259,88 @@ mod tests {
         assert_eq!(a.canonical_key(), b.canonical_key());
     }
 
+    /// Every option set that differs from `base()` in one compile field.
+    fn compile_variants() -> Vec<CompileOptions> {
+        vec![
+            CompileOptions::new(SchedulerKind::Traditional),
+            base().with_unroll(4),
+            base().with_unroll(8),
+            base().with_trace(),
+            base().with_locality(),
+            base().without_predication(),
+            base().with_weight_cap(10),
+            base().with_tie_break(TieBreak::ProgramOrder),
+            base().with_unroll_budget(32),
+            base().without_selective(),
+            base().with_reference_weights(),
+            CompileOptions::new(SchedulerKind::Exact),
+            base().with_exact_budget(7),
+        ]
+    }
+
+    /// Every machine that differs from the default in one knob.
+    fn machine_variants() -> Vec<SimConfig> {
+        let d = SimConfig::default;
+        vec![
+            d().with_issue(4, 2),
+            d().with_issue(4, 4),
+            d().with_mshrs(1),
+            d().with_ifetch(false),
+            d().simple_model_1993(),
+            d().with_predictor(bsched_sim::PredictorKind::Gshare),
+            d().with_predictor(bsched_sim::PredictorKind::TageLite),
+            d().with_prefetch(bsched_mem::PrefetchKind::NextLine),
+            d().with_prefetch(bsched_mem::PrefetchKind::Stride),
+            d().with_mshr_policy(bsched_mem::MshrPolicy::NoMerge),
+            d().with_mshr_policy(bsched_mem::MshrPolicy::Blocking),
+        ]
+    }
+
     #[test]
     fn every_knob_changes_the_key() {
         let cell = |o: CompileOptions| ExperimentCell::new("k", o).canonical_key().to_string();
         let reference = cell(base());
-        let variants = [
-            cell(CompileOptions::new(SchedulerKind::Traditional)),
-            cell(base().with_unroll(4)),
-            cell(base().with_unroll(8)),
-            cell(base().with_trace()),
-            cell(base().with_locality()),
-            cell(base().without_predication()),
-            cell(base().with_weight_cap(10)),
-            cell(base().with_tie_break(TieBreak::ProgramOrder)),
-            cell(base().with_unroll_budget(32)),
-            cell(base().without_selective()),
-            cell(base().with_reference_weights()),
-            cell(CompileOptions::new(SchedulerKind::Exact)),
-            cell(base().with_exact_budget(7)),
-            cell(base().with_sim(SimConfig::default().with_issue(4, 2))),
-            cell(base().with_sim(SimConfig::default().with_issue(4, 4))),
-            cell(base().with_sim(SimConfig::default().with_mshrs(1))),
-            cell(base().with_sim(SimConfig::default().with_ifetch(false))),
-            cell(base().with_sim(SimConfig::default().simple_model_1993())),
-            cell(base().with_sim(
-                SimConfig::default().with_predictor(bsched_sim::PredictorKind::Gshare),
-            )),
-            cell(base().with_sim(
-                SimConfig::default().with_predictor(bsched_sim::PredictorKind::TageLite),
-            )),
-            cell(base().with_sim(
-                SimConfig::default().with_prefetch(bsched_mem::PrefetchKind::NextLine),
-            )),
-            cell(base().with_sim(
-                SimConfig::default().with_prefetch(bsched_mem::PrefetchKind::Stride),
-            )),
-            cell(base().with_sim(
-                SimConfig::default().with_mshr_policy(bsched_mem::MshrPolicy::NoMerge),
-            )),
-            cell(base().with_sim(
-                SimConfig::default().with_mshr_policy(bsched_mem::MshrPolicy::Blocking),
-            )),
-        ];
+        let mut variants: Vec<String> = compile_variants().into_iter().map(cell).collect();
+        variants.extend(
+            machine_variants()
+                .into_iter()
+                .map(|m| cell(base().with_sim(m))),
+        );
         let mut all = vec![reference.clone()];
         all.extend(variants.iter().cloned());
         let distinct: std::collections::HashSet<&String> = all.iter().collect();
         assert_eq!(distinct.len(), all.len(), "some knob did not reach the key");
         for v in &variants {
             assert_ne!(v, &reference);
+        }
+    }
+
+    #[test]
+    fn compile_key_is_the_canonical_key_minus_the_machine() {
+        let key = |o: CompileOptions| ExperimentCell::new("k", o).compile_key().to_string();
+        // Every compile field reaches the compile key.
+        let mut all = vec![key(base())];
+        all.extend(compile_variants().into_iter().map(key));
+        let distinct: std::collections::HashSet<&String> = all.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            all.len(),
+            "some compile knob missed the compile key"
+        );
+        // No machine knob does: cells that differ only in machine share
+        // it, for every knob and every registry machine.
+        let machines = machine_variants().into_iter().chain(
+            bsched_sim::MachineSpec::registry()
+                .iter()
+                .map(|m| bsched_sim::MachineSpec::named(m.name).unwrap().config()),
+        );
+        for opts in compile_variants() {
+            let plain = ExperimentCell::new("k", opts);
+            for m in machines.clone() {
+                let cell = ExperimentCell::new("k", opts.with_sim(m));
+                assert_eq!(cell.compile_key(), plain.compile_key());
+                assert!(cell.canonical_key().starts_with(cell.compile_key()));
+            }
         }
     }
 

@@ -7,13 +7,13 @@ use crate::pool;
 use crate::report::{CellTiming, RunReport};
 use crate::store::ResultStore;
 use bsched_ir::Program;
-use bsched_pipeline::{Experiment, SourceProgram};
-use bsched_sim::{SampleConfig, SimEngine, SimMetrics, SimMode};
+use bsched_pipeline::{Experiment, Prepared, SourceProgram};
+use bsched_sim::{MachineSpec, SampleConfig, SimEngine, SimMetrics, SimMode};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The cached outcome of one cell: the simulator metrics plus the
 /// record that the reference cross-check passed when the cell was
@@ -31,6 +31,24 @@ pub struct CellResult {
     /// passed when this result was computed. A verifying run treats a
     /// cached result with `verified == false` as a cache miss.
     pub verified: bool,
+}
+
+/// One executed cell's outcome and wall time.
+type CellOutcome = (Result<CellResult, HarnessError>, Duration);
+
+/// Indices into `misses`, one group per compile key, in first-appearance
+/// order; each group lists its cells in miss order.
+fn group_by_compile_key(misses: &[&ExperimentCell]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut index: HashMap<&str, usize> = HashMap::with_capacity(misses.len());
+    for (i, cell) in misses.iter().enumerate() {
+        let g = *index.entry(cell.compile_key()).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+    }
+    groups
 }
 
 /// Engine failures.
@@ -425,22 +443,27 @@ impl Engine {
             misses.push(cell);
         }
 
-        // Layer 3: execute the misses in parallel.
+        // Layer 3: execute the misses in parallel, one job per compile
+        // key. Outcomes come back in miss order, so stores, timings and
+        // the first reported failure follow request order.
         let mut timings = Vec::new();
+        let mut pool_stats = None;
+        let mut failure = None;
         if !misses.is_empty() {
-            let (outcomes, stats) = pool::run_jobs(self.config.jobs, misses.len(), |i| {
-                let cell = misses[i];
-                let t0 = Instant::now();
-                let span = bsched_trace::span(bsched_trace::points::HARNESS_CELL)
-                    .label_with(|| cell.to_string());
-                let outcome = self.execute(cell, verify);
-                span.finish(&[]);
-                // Workers flush per cell so a drain on the coordinating
-                // thread sees every event even while the pool is alive.
-                bsched_trace::flush_thread();
-                (outcome, t0.elapsed())
+            let groups = group_by_compile_key(&misses);
+            let (grouped, stats) = pool::run_jobs(self.config.jobs, groups.len(), |g| {
+                let cells: Vec<&ExperimentCell> = groups[g].iter().map(|&i| misses[i]).collect();
+                self.execute_group(&cells, verify)
             });
-            for (cell, (outcome, wall)) in misses.iter().zip(outcomes) {
+            pool_stats = Some(stats);
+            let mut outcomes: Vec<Option<CellOutcome>> = misses.iter().map(|_| None).collect();
+            for (group, results) in groups.iter().zip(grouped) {
+                for (&i, outcome) in group.iter().zip(results) {
+                    outcomes[i] = Some(outcome);
+                }
+            }
+            for (cell, outcome) in misses.iter().zip(outcomes) {
+                let (outcome, wall) = outcome.expect("every miss belongs to a group");
                 timings.push(CellTiming {
                     cell: cell.to_string(),
                     wall,
@@ -456,32 +479,22 @@ impl Engine {
                         store.insert(cell, result);
                     }
                     Err(e) => {
-                        self.update_report(cells.len() as u64, deduplicated as u64, memory_hits, disk_hits, verified, &timings, Some(&stats));
-                        return Err(e);
+                        failure = Some(e);
+                        break;
                     }
                 }
             }
-            self.update_report(
-                cells.len() as u64,
-                deduplicated as u64,
-                memory_hits,
-                disk_hits,
-                verified,
-                &timings,
-                Some(&stats),
-            );
-        } else {
-            self.update_report(
-                cells.len() as u64,
-                deduplicated as u64,
-                memory_hits,
-                disk_hits,
-                verified,
-                &timings,
-                None,
-            );
         }
-        Ok(())
+        self.update_report(
+            cells.len() as u64,
+            deduplicated as u64,
+            memory_hits,
+            disk_hits,
+            verified,
+            &timings,
+            pool_stats.as_ref(),
+        );
+        failure.map_or(Ok(()), Err)
     }
 
     /// The memoized result for a cell, if present (from the configured
@@ -536,23 +549,64 @@ impl Engine {
         self.report.lock().expect("report poisoned").fuzz_iterations += iterations;
     }
 
-    fn execute(&self, cell: &ExperimentCell, verify: bool) -> Result<CellResult, HarnessError> {
-        let idx = self.index[cell.kernel()];
-        let source = &self.kernels[idx].1;
-        let session = Experiment::builder()
+    /// Runs one compile key's cells: the first cell's span and timer
+    /// also cover the one compile, which every cell's machine then
+    /// simulates. The compiled program is dropped when the group ends.
+    fn execute_group(&self, cells: &[&ExperimentCell], verify: bool) -> Vec<CellOutcome> {
+        let source = &self.kernels[self.index[cells[0].kernel()]].1;
+        let mut prepared = None;
+        cells
+            .iter()
+            .map(|&cell| {
+                let t0 = Instant::now();
+                let span = bsched_trace::span(bsched_trace::points::HARNESS_CELL)
+                    .label_with(|| cell.to_string());
+                let outcome = match prepared.get_or_insert_with(|| self.prepare(cell, source)) {
+                    Ok(compiled) => self.execute(cell, compiled, source, verify),
+                    Err(msg) => Err(HarnessError::Cell {
+                        cell: cell.to_string(),
+                        msg: msg.clone(),
+                    }),
+                };
+                span.finish(&[]);
+                // Workers flush per cell so a drain on the coordinating
+                // thread sees every event even while the pool is alive.
+                bsched_trace::flush_thread();
+                (outcome, t0.elapsed())
+            })
+            .collect()
+    }
+
+    /// Compiles `cell`'s compile key (see
+    /// [`bsched_pipeline::Session::prepare`]).
+    fn prepare(&self, cell: &ExperimentCell, source: &SourceProgram) -> Result<Prepared, String> {
+        self.report.lock().expect("report poisoned").compiles += 1;
+        Experiment::builder()
             .program(cell.kernel(), source.clone())
             .compile_options(*cell.options())
             .engine(self.config.sim_engine)
             .sim_mode(self.config.sim_mode)
             .build()
+            .map_err(|e| e.to_string())?
+            .prepare()
+            .map_err(|e| e.to_string())
+    }
+
+    /// Simulates `cell`'s machine from its group's compile, then runs
+    /// the conformance suite when `verify` is set.
+    fn execute(
+        &self,
+        cell: &ExperimentCell,
+        prepared: &Prepared,
+        source: &SourceProgram,
+        verify: bool,
+    ) -> Result<CellResult, HarnessError> {
+        let run = prepared
+            .run(&MachineSpec::custom(cell.options().sim))
             .map_err(|e| HarnessError::Cell {
                 cell: cell.to_string(),
                 msg: e.to_string(),
             })?;
-        let run = session.run().map_err(|e| HarnessError::Cell {
-            cell: cell.to_string(),
-            msg: e.to_string(),
-        })?;
         if !run.checksum_ok {
             return Err(HarnessError::Cell {
                 cell: cell.to_string(),

@@ -21,7 +21,8 @@ pub fn emit_stderr(text: &str) {
 pub struct CellTiming {
     /// `kernel/label` of the cell.
     pub cell: String,
-    /// Wall time of the compile+simulate for this cell.
+    /// Wall time of this cell's simulation (and checks); the first cell
+    /// of a compile-key group also carries the group's one compile.
     pub wall: Duration,
 }
 
@@ -64,9 +65,12 @@ pub struct RunReport {
     /// Total retired instructions across executed sampled cells (the
     /// coverage denominator).
     pub sample_total_insts: u64,
-    /// Exact-search statistics aggregated over executed exact-arm cells
+    /// Exact-search statistics summed over executed exact-arm cells
     /// (regions searched, optima proven, budget fallbacks, nodes, and
     /// the heuristic-vs-exact issue-span costs behind "% of optimal").
+    /// Summed per cell, not per compile: a compile shared by N machines
+    /// counts N times, so the totals do not depend on how a batch was
+    /// grouped.
     pub exact: ExactStats,
     /// Busy time per worker, summed over batches.
     pub worker_busy: Vec<Duration>,
@@ -74,6 +78,9 @@ pub struct RunReport {
     pub pool_wall: Duration,
     /// Successful steals across batches.
     pub steals: u64,
+    /// Compiles run for executed cells: one per distinct compile key
+    /// (the cell minus its machine) among each batch's cache misses.
+    pub compiles: u64,
     /// Source programs run on the reference interpreter to obtain their
     /// reference checksum: at most one per kernel, however many of its
     /// cells executed.
@@ -179,12 +186,13 @@ impl RunReport {
             let _ = writeln!(
                 s,
                 "pool: {} workers, {:.3}s wall, {:.3}s busy ({:.0}% utilization), {} steals, \
-                 {} reference runs",
+                 {} compiles, {} reference runs",
                 self.workers,
                 self.pool_wall.as_secs_f64(),
                 total_busy.as_secs_f64(),
                 self.utilization() * 100.0,
                 self.steals,
+                self.compiles,
                 self.reference_runs
             );
             let (hits, misses, entries) = bsched_ir::analysis::cache_stats();

@@ -1,9 +1,11 @@
 //! Integration tests for the experiment engine: determinism across
-//! worker counts, disk-cache round trips, and cache accounting.
+//! worker counts, disk-cache round trips, cache accounting, and one
+//! compile per compile key with per-cell error attribution.
 
 use bsched_harness::{Engine, EngineConfig, ExperimentCell, HarnessError};
-use bsched_ir::Program;
-use bsched_pipeline::{standard_grid, CompileOptions, SchedulerKind};
+use bsched_ir::{BlockId, Program, Terminator};
+use bsched_pipeline::{standard_grid, CompileOptions, Experiment, MachineSpec, SchedulerKind};
+use bsched_sim::SimConfig;
 use bsched_workloads::lang::ast::{Expr, Index};
 use bsched_workloads::lang::{ArrayInit, Kernel};
 use std::path::PathBuf;
@@ -288,5 +290,141 @@ fn unknown_kernels_are_rejected() {
     match engine.run(std::slice::from_ref(&cell)) {
         Err(HarnessError::UnknownKernel(k)) => assert_eq!(k, "nonesuch"),
         other => panic!("expected UnknownKernel, got {other:?}"),
+    }
+}
+
+/// The machine-zoo shape on one kernel: three arms at LU4, each on
+/// every registry machine, requested machine-major as the `machines`
+/// binary does.
+fn zoo_cells(kernel: &str) -> Vec<ExperimentCell> {
+    let mut cells = Vec::new();
+    for info in MachineSpec::registry() {
+        let machine = MachineSpec::named(info.name).unwrap();
+        for arm in [
+            SchedulerKind::Traditional,
+            SchedulerKind::Balanced,
+            SchedulerKind::Exact,
+        ] {
+            let opts = CompileOptions::new(arm)
+                .with_unroll(4)
+                .with_sim(machine.config());
+            cells.push(ExperimentCell::new(kernel, opts));
+        }
+    }
+    cells
+}
+
+#[test]
+fn each_compile_key_compiles_once_and_every_machine_matches_a_standalone_run() {
+    let cells = zoo_cells("alpha");
+    let (_, program) = tiny_kernel("alpha", 48, 3);
+    let standalone: Vec<_> = cells
+        .iter()
+        .map(|c| {
+            Experiment::builder()
+                .program("alpha", program.clone())
+                .compile_options(*c.options())
+                .build()
+                .unwrap()
+                .run()
+                .unwrap()
+                .metrics
+        })
+        .collect();
+    for jobs in [1usize, 2] {
+        let cfg = EngineConfig::default()
+            .with_jobs(jobs)
+            .with_disk_cache(false);
+        let engine = Engine::new(kernels(), cfg);
+        engine.run(&cells).expect("zoo runs");
+        let report = engine.report();
+        assert_eq!(report.executed, 18, "{jobs} workers");
+        assert_eq!(report.compiles, 3, "{jobs} workers");
+        assert!(
+            report.render().contains(", 3 compiles, 1 reference runs\n"),
+            "{jobs} workers"
+        );
+        for (cell, want) in cells.iter().zip(&standalone) {
+            let got = engine.result(cell).expect("cell was run");
+            assert_eq!(
+                &got.metrics,
+                want,
+                "{jobs} workers: {}",
+                cell.canonical_key()
+            );
+        }
+    }
+}
+
+#[test]
+fn a_failing_machine_is_reported_as_itself_not_as_a_sibling() {
+    let opts = CompileOptions::new(SchedulerKind::Balanced);
+    let starved = SimConfig {
+        fuel: 50,
+        ..SimConfig::default()
+    };
+    let first = ExperimentCell::new("alpha", opts);
+    let other = ExperimentCell::new("beta", opts);
+    let failing = ExperimentCell::new("alpha", opts.with_sim(starved));
+    assert_eq!(first.compile_key(), failing.compile_key());
+    for jobs in [1usize, 2] {
+        let cfg = EngineConfig::default()
+            .with_jobs(jobs)
+            .with_disk_cache(false);
+        let engine = Engine::new(kernels(), cfg);
+        let batch = [first.clone(), other.clone(), failing.clone()];
+        match engine.run(&batch) {
+            Err(HarnessError::Cell { cell, msg }) => {
+                assert_eq!(cell, "alpha/BS");
+                assert!(msg.contains("instruction budget of 50 exhausted"), "{msg}");
+            }
+            other => panic!("expected the starved cell to fail, got {other:?}"),
+        }
+        // The sibling that shares the failing cell's compile succeeded
+        // and was stored; only the starved machine has no result.
+        assert!(engine.result(&first).is_some(), "{jobs} workers");
+        assert!(engine.result(&other).is_some(), "{jobs} workers");
+        assert!(engine.result(&failing).is_none(), "{jobs} workers");
+        assert_eq!(engine.report().compiles, 2, "{jobs} workers");
+    }
+}
+
+#[test]
+fn a_failed_compile_is_reported_at_its_groups_first_cell() {
+    // A kernel the IR verifier rejects: its reference, and so every
+    // compile of it, fails.
+    let (_, mut broken) = tiny_kernel("broken", 16, 5);
+    let entry = broken.main().entry();
+    broken.main_mut().block_mut(entry).term = Terminator::Jmp(BlockId::new(999));
+    let mut kernels = kernels();
+    kernels.push(("broken".to_string(), broken));
+    let wide = MachineSpec::named("wide4").unwrap().config();
+    let bs = CompileOptions::new(SchedulerKind::Balanced);
+    let ts = CompileOptions::new(SchedulerKind::Traditional);
+    // Two failing groups; the one requested first must be reported,
+    // whichever worker finishes first.
+    let batch = [
+        ExperimentCell::new("alpha", bs),
+        ExperimentCell::new("broken", bs.with_sim(wide)),
+        ExperimentCell::new("broken", ts),
+        ExperimentCell::new("broken", bs),
+    ];
+    for jobs in [1usize, 2] {
+        let cfg = EngineConfig::default()
+            .with_jobs(jobs)
+            .with_disk_cache(false);
+        let engine = Engine::new(kernels.clone(), cfg);
+        match engine.run(&batch) {
+            Err(HarnessError::Cell { cell, msg }) => {
+                assert_eq!(cell, "broken/BS", "{jobs} workers");
+                assert!(msg.contains("out-of-range block"), "{msg}");
+            }
+            other => panic!("expected the broken kernel to fail, got {other:?}"),
+        }
+        assert!(engine.result(&batch[0]).is_some(), "{jobs} workers");
+        let report = engine.report();
+        assert_eq!(report.compiles, 3, "one attempt per compile key");
+        // Timings stop at the reported cell, as results do.
+        assert_eq!(report.cell_timings.len(), 2, "{jobs} workers");
     }
 }

@@ -25,7 +25,8 @@
 //! [`Session`] is the frozen, validated configuration; [`Session::run`]
 //! compiles, simulates, and cross-checks the simulator's result against
 //! the reference interpreter's, and [`Session::compile`] stops after
-//! code generation.
+//! code generation. [`Session::prepare`] compiles once and returns a
+//! [`Prepared`] program that simulates, checked, on any machine.
 //!
 //! The pre-0.3 free functions (`compile`, `compile_and_run`) and the
 //! `Runner` memoizer remain as `#[deprecated]` shims over the same
@@ -34,7 +35,7 @@
 use crate::compile::{compile_impl, Compiled, PipelineError};
 use crate::experiments::ConfigKind;
 use crate::options::CompileOptions;
-use crate::run::{run_impl, RunResult};
+use crate::run::{Prepared, RunResult};
 use crate::source::SourceProgram;
 use bsched_core::{SchedulerKind, TieBreak};
 use bsched_ir::Program;
@@ -493,19 +494,35 @@ impl Session {
         self.trace.then(bsched_trace::enable_scope)
     }
 
-    /// Compiles and simulates, comparing the simulator's memory checksum
-    /// with the source's reference (interpreted once per
-    /// [`SourceProgram`]). The compiled program is interpreted only
-    /// when the two differ, to tell a miscompile (an error) from a
-    /// simulator divergence ([`RunResult::checksum_ok`] `== false`).
+    /// Compiles once for every machine: the source's reference
+    /// (interpreted once per [`SourceProgram`]), then the phase order
+    /// without its post-compile interpreter check. Each
+    /// [`Prepared::run`] simulates one machine and checks that run
+    /// against the reference. Tracing, when on, covers both steps.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PipelineError`]s from the reference and from
+    /// compilation.
+    pub fn prepare(&self) -> Result<Prepared, PipelineError> {
+        Prepared::new(
+            &self.program,
+            &self.options,
+            self.engine,
+            self.sim_mode,
+            self.trace,
+        )
+    }
+
+    /// [`Session::prepare`], then [`Prepared::run`] on this session's
+    /// own machine.
     ///
     /// # Errors
     ///
     /// Propagates [`PipelineError`]s from compilation and simulation,
     /// and [`PipelineError::ChecksumMismatch`] on a miscompile.
     pub fn run(&self) -> Result<RunResult, PipelineError> {
-        let _trace = self.trace_scope();
-        run_impl(&self.program, &self.options, self.engine, self.sim_mode)
+        self.prepare()?.run(&MachineSpec::custom(self.options.sim))
     }
 
     /// Compiles only (no simulation): the full phase order through

@@ -1,7 +1,7 @@
 //! The experiment grid of the paper's evaluation and a memoizing runner.
 
 use crate::options::CompileOptions;
-use crate::run::{run_impl, RunResult};
+use crate::run::RunResult;
 use crate::PipelineError;
 use bsched_core::SchedulerKind;
 use bsched_ir::Program;
@@ -149,12 +149,7 @@ impl Runner {
         // simulator parameters) can share a label.
         let key = (kernel_name.to_string(), format!("{:?}", config.options()));
         if !self.cache.contains_key(&key) {
-            let result = run_impl(
-                &crate::source::SourceProgram::new(program.clone()),
-                &config.options(),
-                bsched_sim::SimEngine::default(),
-                bsched_sim::SimMode::Exact,
-            )?;
+            let result = crate::run::compile_and_run(program, &config.options())?;
             assert!(result.checksum_ok, "simulator diverged on {kernel_name}");
             self.cache.insert(key.clone(), result);
         }

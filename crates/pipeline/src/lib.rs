@@ -72,6 +72,6 @@ pub use bsched_sim::{MachineInfo, MachineSpec, PredictorKind, SampleConfig, Samp
 pub use options::CompileOptions;
 #[allow(deprecated)]
 pub use run::compile_and_run;
-pub use run::RunResult;
+pub use run::{Prepared, RunResult};
 pub use source::SourceProgram;
 pub use table::Table;

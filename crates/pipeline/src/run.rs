@@ -1,10 +1,11 @@
-//! Compile-and-simulate entry point.
+//! Compile-and-simulate entry point: one compile ([`Prepared`]) runs
+//! checked on any number of machines.
 
-use crate::compile::{compile_unchecked, CompileStats, PipelineError};
+use crate::compile::{compile_unchecked, CompileStats, Compiled, PipelineError};
 use crate::options::CompileOptions;
 use crate::source::SourceProgram;
 use bsched_ir::{Interp, Program};
-use bsched_sim::{SampleStats, SimEngine, SimMetrics, SimMode, Simulator};
+use bsched_sim::{MachineSpec, SampleStats, SimEngine, SimMetrics, SimMode, Simulator};
 
 /// The result of one end-to-end run.
 #[derive(Debug, Clone)]
@@ -41,40 +42,83 @@ pub fn compile_and_run(
     source: &Program,
     opts: &CompileOptions,
 ) -> Result<RunResult, PipelineError> {
-    run_impl(
+    Prepared::new(
         &SourceProgram::new(source.clone()),
         opts,
         SimEngine::default(),
         SimMode::Exact,
-    )
+        false,
+    )?
+    .run(&MachineSpec::custom(opts.sim))
 }
 
-/// The implementation behind [`compile_and_run`] and
-/// [`crate::Session::run`]: the source's memoized reference, the phase
-/// order without its interpreter check, then the simulator, whose
-/// checksum stands in for that check.
-pub(crate) fn run_impl(
-    source: &SourceProgram,
-    opts: &CompileOptions,
+/// A program compiled once, ready to simulate on any machine.
+///
+/// No compile pass reads the simulated machine ([`CompileOptions::sim`]),
+/// so one compile serves every machine a configuration is measured on:
+/// [`crate::Session::prepare`] compiles, and each [`Prepared::run`]
+/// simulates one machine and checks that run's checksum against the
+/// source's reference. The reference is obtained before the compile,
+/// so a `Prepared` always holds it and no simulated run goes unchecked.
+#[derive(Debug)]
+pub struct Prepared {
+    compiled: Compiled,
+    reference: u64,
     engine: SimEngine,
     mode: SimMode,
-) -> Result<RunResult, PipelineError> {
-    let reference = source.reference()?;
-    let compiled = compile_unchecked(source.program(), opts)?;
-    let machine = bsched_sim::MachineSpec::custom(opts.sim);
-    let sim = Simulator::for_machine(&compiled.program, &machine)
-        .with_engine(engine)
-        .with_mode(mode)
-        .run()?;
-    let checksum_ok = classify_checksum(sim.checksum, reference, || {
-        Ok(Interp::new(&compiled.program).run()?.checksum)
-    })?;
-    Ok(RunResult {
-        metrics: sim.metrics,
-        compile: compiled.stats,
-        checksum_ok,
-        sample: sim.sample,
-    })
+    trace: bool,
+}
+
+impl Prepared {
+    /// The source's memoized reference, then the phase order without
+    /// its interpreter check: the simulator's checksum in each
+    /// [`Prepared::run`] stands in for that check.
+    pub(crate) fn new(
+        source: &SourceProgram,
+        opts: &CompileOptions,
+        engine: SimEngine,
+        mode: SimMode,
+        trace: bool,
+    ) -> Result<Prepared, PipelineError> {
+        let _trace = trace.then(bsched_trace::enable_scope);
+        let reference = source.reference()?;
+        let compiled = compile_unchecked(source.program(), opts)?;
+        Ok(Prepared {
+            compiled,
+            reference,
+            engine,
+            mode,
+            trace,
+        })
+    }
+
+    /// Simulates the compiled program on `machine`, comparing the
+    /// simulator's memory checksum with the source's reference. The
+    /// compiled program is interpreted only when the two differ, to
+    /// tell a miscompile (an error) from a simulator divergence
+    /// ([`RunResult::checksum_ok`] `== false`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PipelineError`]s from simulation, and
+    /// [`PipelineError::ChecksumMismatch`] on a miscompile.
+    pub fn run(&self, machine: &MachineSpec) -> Result<RunResult, PipelineError> {
+        let _trace = self.trace.then(bsched_trace::enable_scope);
+        let program = &self.compiled.program;
+        let sim = Simulator::for_machine(program, machine)
+            .with_engine(self.engine)
+            .with_mode(self.mode)
+            .run()?;
+        let checksum_ok = classify_checksum(sim.checksum, self.reference, || {
+            Ok(Interp::new(program).run()?.checksum)
+        })?;
+        Ok(RunResult {
+            metrics: sim.metrics,
+            compile: self.compiled.stats.clone(),
+            checksum_ok,
+            sample: sim.sample,
+        })
+    }
 }
 
 /// Compares the simulator's checksum to the reference. Only on a
@@ -183,6 +227,42 @@ mod tests {
         let runaway = bsched_ir::ExecError::OutOfFuel { fuel: 1 };
         let failed = classify_checksum(8, 7, || Err(PipelineError::Exec(runaway)));
         assert!(matches!(failed, Err(PipelineError::Exec(_))));
+    }
+
+    /// One compile serves every machine only because no pass reads
+    /// `opts.sim`: the compiled program and its statistics must not
+    /// depend on the machine the options name.
+    #[test]
+    fn compilation_never_reads_the_machine() {
+        let machines = ["alpha21164", "wide4", "blocking21164", "simple1993"];
+        let arms = [
+            SchedulerKind::Traditional,
+            SchedulerKind::Balanced,
+            SchedulerKind::Exact,
+        ];
+        for arm in arms {
+            let compiled: Vec<(String, String)> = machines
+                .iter()
+                .map(|name| {
+                    let c = Experiment::builder()
+                        .kernel("TRFD")
+                        .compile_options(
+                            CompileOptions::new(arm)
+                                .with_unroll(4)
+                                .with_sim(name.parse::<MachineSpec>().unwrap().config()),
+                        )
+                        .build()
+                        .unwrap()
+                        .compile()
+                        .unwrap();
+                    (c.program.to_string(), format!("{:?}", c.stats))
+                })
+                .collect();
+            for (name, c) in machines.iter().zip(&compiled).skip(1) {
+                assert!(c.0 == compiled[0].0, "{arm:?}: {name} changed the program");
+                assert_eq!(c.1, compiled[0].1, "{arm:?}: {name} changed the stats");
+            }
+        }
     }
 
     #[test]

@@ -140,6 +140,10 @@ for eng in interpret block; do
         || { cat "$MACH_ERR"; echo "FAIL: machines $eng violations"; exit 1; }
     grep -q "engine: $eng" "$MACH_ERR" \
         || { cat "$MACH_ERR"; echo "FAIL: machines report must name engine $eng"; exit 1; }
+    # Each (kernel, arm) compiles once for all three machines:
+    # 2 kernels x 3 arms = 6 compiles for 18 cells.
+    grep -q ", 6 compiles," "$MACH_ERR" \
+        || { cat "$MACH_ERR"; echo "FAIL: machines $eng expected 6 compiles"; exit 1; }
     if [ -z "$MACH_OUT" ]; then
         MACH_OUT="$mach"
     else
