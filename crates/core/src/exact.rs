@@ -46,8 +46,8 @@
 //! never silent.
 
 use bsched_ir::{Dag, DepKind};
+use bsched_util::FastHashMap;
 use bsched_util::Fnv1a;
-use std::collections::HashMap;
 
 /// Default node budget for the branch-and-bound search. Paper-sized
 /// regions (tens of instructions) usually prove optimality well under
@@ -182,7 +182,7 @@ struct Search<'a> {
     scheduled: Vec<u64>,
     /// Dominance memo: state key -> earliest clock the state was
     /// expanded at. A revisit at the same or a later clock is pruned.
-    memo: HashMap<u64, u64>,
+    memo: FastHashMap<u64, u64>,
 }
 
 impl Search<'_> {
@@ -356,7 +356,7 @@ pub fn schedule_region_exact(
         pred_left,
         order: Vec::with_capacity(n),
         scheduled: vec![0; n.div_ceil(64)],
-        memo: HashMap::new(),
+        memo: FastHashMap::default(),
     };
     search.dfs(0);
     ExactOutcome {

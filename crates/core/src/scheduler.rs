@@ -16,7 +16,8 @@
 use crate::exact::{schedule_cost, schedule_region_exact, ExactStats};
 use crate::priority::compute_priorities;
 use crate::weights::{compute_weights, SchedulerKind, WeightConfig};
-use bsched_ir::{Dag, DepKind, Function, Inst};
+use bsched_ir::{Dag, DepKind, Function, Inst, Reg, RegClass, RegSet};
+use bsched_util::FastHashMap;
 
 /// Computes a schedule (a permutation of `0..insts.len()`) for a region
 /// with an externally built DAG and weight vector.
@@ -84,8 +85,8 @@ pub fn schedule_region_bounded(
     dag: &Dag,
     weights: &[u32],
     pressure_limit: Option<u32>,
-    live_in: &std::collections::HashSet<bsched_ir::Reg>,
-    live_out: &std::collections::HashSet<bsched_ir::Reg>,
+    live_in: &RegSet,
+    live_out: &RegSet,
 ) -> Vec<usize> {
     schedule_region_full(
         insts,
@@ -107,11 +108,10 @@ pub fn schedule_region_full(
     dag: &Dag,
     weights: &[u32],
     pressure_limit: Option<u32>,
-    live_in: &std::collections::HashSet<bsched_ir::Reg>,
-    live_out: &std::collections::HashSet<bsched_ir::Reg>,
+    live_in: &RegSet,
+    live_out: &RegSet,
     tie_break: TieBreak,
 ) -> Vec<usize> {
-    use bsched_ir::RegClass;
     let n = insts.len();
     assert_eq!(dag.len(), n);
     assert_eq!(weights.len(), n);
@@ -119,27 +119,12 @@ pub fn schedule_region_full(
         return Vec::new();
     }
     let prio = compute_priorities(dag, weights);
-
+    let regs = RegionRegs::new(insts, live_in, live_out);
     // Remaining in-region uses of each register, for live-value tracking.
-    let mut uses_left: std::collections::HashMap<bsched_ir::Reg, u32> =
-        std::collections::HashMap::new();
-    let mut defined_here: std::collections::HashSet<bsched_ir::Reg> =
-        std::collections::HashSet::new();
-    for inst in insts {
-        for &s in inst.srcs() {
-            *uses_left.entry(s).or_insert(0) += 1;
-        }
-        if let Some(d) = inst.dst {
-            defined_here.insert(d);
-        }
-    }
-    let class_ix = |c: RegClass| match c {
-        RegClass::Int => 0usize,
-        RegClass::Float => 1usize,
-    };
+    let mut uses_left = regs.uses.clone();
     // Registers live into the region occupy space before anything issues.
     let mut live = [0u32; 2];
-    for &r in live_in {
+    for r in live_in.iter() {
         live[class_ix(r.class())] += 1;
     }
 
@@ -183,28 +168,16 @@ pub fn schedule_region_full(
                 None => true,
                 Some(limit) => {
                     let mut delta = [0i32; 2];
-                    if let Some(d) = insts[i].dst {
-                        if !live_in.contains(&d)
-                            && (uses_left.get(&d).copied().unwrap_or(0) > 0
-                                || live_out.contains(&d))
-                        {
-                            delta[class_ix(d.class())] += 1;
+                    if let Some(d) = regs.dst[i] {
+                        let info = &regs.info[d as usize];
+                        if !info.live_in && (uses_left[d as usize] > 0 || info.live_out) {
+                            delta[info.class] += 1;
                         }
                     }
-                    let mut seen = [bsched_ir::Reg::phys(RegClass::Int, 0); 3];
-                    let mut nseen = 0;
-                    for &src in insts[i].srcs() {
-                        if seen[..nseen].contains(&src) {
-                            continue;
-                        }
-                        seen[nseen] = src;
-                        nseen += 1;
-                        let occupies = defined_here.contains(&src) || live_in.contains(&src);
-                        if uses_left.get(&src).copied() == Some(1)
-                            && occupies
-                            && !live_out.contains(&src)
-                        {
-                            delta[class_ix(src.class())] -= 1;
+                    for &src in regs.srcs(i) {
+                        let info = &regs.info[src as usize];
+                        if uses_left[src as usize] == 1 && info.occupies && !info.live_out {
+                            delta[info.class] -= 1;
                         }
                     }
                     (0..2).all(|c| delta[c] <= 0 || live[c] < limit)
@@ -251,27 +224,18 @@ pub fn schedule_region_full(
         order.push(pick);
         // Live-value bookkeeping: last scheduled use frees the register,
         // a def with remaining uses occupies one.
-        let mut seen = [bsched_ir::Reg::phys(RegClass::Int, 0); 3];
-        let mut nseen = 0;
-        for &s in insts[pick].srcs() {
-            if seen[..nseen].contains(&s) {
-                continue;
-            }
-            seen[nseen] = s;
-            nseen += 1;
-            if let Some(u) = uses_left.get_mut(&s) {
-                *u = u.saturating_sub(1);
-                let occupies = defined_here.contains(&s) || live_in.contains(&s);
-                if *u == 0 && occupies && !live_out.contains(&s) {
-                    live[class_ix(s.class())] = live[class_ix(s.class())].saturating_sub(1);
-                }
+        for &s in regs.srcs(pick) {
+            let info = &regs.info[s as usize];
+            let u = &mut uses_left[s as usize];
+            *u = u.saturating_sub(1);
+            if *u == 0 && info.occupies && !info.live_out {
+                live[info.class] = live[info.class].saturating_sub(1);
             }
         }
-        if let Some(d) = insts[pick].dst {
-            if !live_in.contains(&d)
-                && (uses_left.get(&d).copied().unwrap_or(0) > 0 || live_out.contains(&d))
-            {
-                live[class_ix(d.class())] += 1;
+        if let Some(d) = regs.dst[pick] {
+            let info = &regs.info[d as usize];
+            if !info.live_in && (uses_left[d as usize] > 0 || info.live_out) {
+                live[info.class] += 1;
             }
         }
         for &(t, kind) in dag.succs(pick) {
@@ -300,6 +264,87 @@ pub fn schedule_region_full(
         cycle += 1;
     }
     order
+}
+
+fn class_ix(c: RegClass) -> usize {
+    match c {
+        RegClass::Int => 0,
+        RegClass::Float => 1,
+    }
+}
+
+/// What the pressure gate needs to know about one register of a region.
+#[derive(Debug, Clone, Copy)]
+struct RegInfo {
+    /// Register-class index (0 int, 1 float).
+    class: usize,
+    live_in: bool,
+    live_out: bool,
+    /// Holds a register while it has uses left: defined in the region
+    /// or live into it.
+    occupies: bool,
+}
+
+/// Dense per-region register tables, built once so the candidate loop
+/// reads vectors instead of hashing registers every cycle. Each register
+/// the region names gets a local index in first-appearance order.
+struct RegionRegs {
+    info: Vec<RegInfo>,
+    /// In-region use count per local register.
+    uses: Vec<u32>,
+    /// Local index of each instruction's destination.
+    dst: Vec<Option<u32>>,
+    /// Each instruction's distinct sources (local indices), flattened;
+    /// instruction `i` owns `src_list[src_start[i]..src_start[i + 1]]`.
+    src_list: Vec<u32>,
+    src_start: Vec<usize>,
+}
+
+impl RegionRegs {
+    fn new(insts: &[Inst], live_in: &RegSet, live_out: &RegSet) -> Self {
+        let mut index: FastHashMap<Reg, u32> = FastHashMap::default();
+        let mut t = RegionRegs {
+            info: Vec::new(),
+            uses: Vec::new(),
+            dst: Vec::with_capacity(insts.len()),
+            src_list: Vec::with_capacity(2 * insts.len()),
+            src_start: Vec::with_capacity(insts.len() + 1),
+        };
+        let mut local = |t: &mut RegionRegs, r: Reg| -> u32 {
+            *index.entry(r).or_insert_with(|| {
+                t.info.push(RegInfo {
+                    class: class_ix(r.class()),
+                    live_in: live_in.contains(r),
+                    live_out: live_out.contains(r),
+                    occupies: live_in.contains(r),
+                });
+                t.uses.push(0);
+                (t.info.len() - 1) as u32
+            })
+        };
+        for inst in insts {
+            t.src_start.push(t.src_list.len());
+            let first = t.src_list.len();
+            for &s in inst.srcs() {
+                let l = local(&mut t, s);
+                t.uses[l as usize] += 1;
+                if !t.src_list[first..].contains(&l) {
+                    t.src_list.push(l);
+                }
+            }
+            let d = inst.dst.map(|d| local(&mut t, d));
+            if let Some(d) = d {
+                t.info[d as usize].occupies = true;
+            }
+            t.dst.push(d);
+        }
+        t.src_start.push(t.src_list.len());
+        t
+    }
+
+    fn srcs(&self, i: usize) -> &[u32] {
+        &self.src_list[self.src_start[i]..self.src_start[i + 1]]
+    }
 }
 
 /// Builds the DAG and weights for a straight-line region and schedules it.
@@ -607,7 +652,7 @@ mod pressure_tests {
     use super::*;
     use crate::weights::SchedulerKind;
     use bsched_ir::{Inst, Op, Reg, RegClass, RegionId};
-    use std::collections::{HashMap, HashSet};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn r(n: u32) -> Reg {
         Reg::virt(RegClass::Int, n)
@@ -642,13 +687,13 @@ mod pressure_tests {
     /// Max simultaneously-live float values over a schedule.
     fn max_live_float(insts: &[Inst], order: &[usize]) -> usize {
         let seq: Vec<&Inst> = order.iter().map(|&i| &insts[i]).collect();
-        let mut last_use: HashMap<Reg, usize> = HashMap::new();
+        let mut last_use: BTreeMap<Reg, usize> = BTreeMap::new();
         for (pos, inst) in seq.iter().enumerate() {
             for &s in inst.srcs() {
                 last_use.insert(s, pos);
             }
         }
-        let mut live: HashSet<Reg> = HashSet::new();
+        let mut live: BTreeSet<Reg> = BTreeSet::new();
         let mut max = 0;
         for (pos, inst) in seq.iter().enumerate() {
             if let Some(d) = inst.dst {
@@ -691,7 +736,7 @@ mod pressure_tests {
         let dag = Dag::new(&insts);
         let w = compute_weights(&insts, &dag, &WeightConfig::new(SchedulerKind::Balanced));
         // Pretend 10 extra float values are live through this block.
-        let live_in: HashSet<Reg> = (100..110).map(f).collect();
+        let live_in: RegSet = (100..110).map(f).collect();
         let bounded = schedule_region_bounded(&insts, &dag, &w, Some(12), &live_in, &live_in);
         let live = max_live_float(&insts, &bounded);
         assert!(

@@ -29,12 +29,12 @@
 
 use crate::dag::Dag;
 use crate::inst::Inst;
-use std::collections::HashMap;
+use bsched_util::FastHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Memo table from covered-load bitset to its component-credit vector.
-type CreditMemo = HashMap<Box<[u64]>, Arc<Vec<f64>>>;
+type CreditMemo = FastHashMap<Box<[u64]>, Arc<Vec<f64>>>;
 
 /// Words needed for a bitset over `n` bits.
 fn words_for(n: usize) -> usize {
@@ -124,7 +124,7 @@ impl DagAnalysis {
             words,
             indep,
             comp,
-            credits: Mutex::new(HashMap::new()),
+            credits: Mutex::new(FastHashMap::default()),
         }
     }
 
@@ -211,7 +211,7 @@ impl DagAnalysis {
         // share[rank] for the rank-th set bit of `covered`.
         let mut shares = vec![0f64; total];
         // Rank lookup: slot -> dense rank within `covered`.
-        let mut rank_of = HashMap::with_capacity(total);
+        let mut rank_of = FastHashMap::with_capacity_and_hasher(total, Default::default());
         let mut rank = 0usize;
         for (w, &bits) in covered.iter().enumerate() {
             let mut b = bits;
@@ -322,7 +322,7 @@ fn structural_key(dag: &Dag, insts: &[Inst]) -> Vec<u64> {
 const CACHE_CAP: usize = 4096;
 
 struct GlobalCache {
-    map: Mutex<HashMap<Vec<u64>, Arc<DagAnalysis>>>,
+    map: Mutex<FastHashMap<Vec<u64>, Arc<DagAnalysis>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -330,7 +330,7 @@ struct GlobalCache {
 fn global_cache() -> &'static GlobalCache {
     static CACHE: OnceLock<GlobalCache> = OnceLock::new();
     CACHE.get_or_init(|| GlobalCache {
-        map: Mutex::new(HashMap::new()),
+        map: Mutex::new(FastHashMap::default()),
         hits: AtomicU64::new(0),
         misses: AtomicU64::new(0),
     })

@@ -11,7 +11,7 @@
 use crate::analysis::{cached_analysis, DagAnalysis};
 use crate::inst::{Inst, LocalityHint};
 use crate::reg::Reg;
-use std::collections::HashMap;
+use bsched_util::FastHashMap;
 use std::sync::{Arc, OnceLock};
 
 /// The kind of a dependence edge.
@@ -91,12 +91,12 @@ impl DagBuilder {
         let n = insts.len();
         let mut b = DagBuilder::empty(n);
 
-        let mut last_def: HashMap<Reg, usize> = HashMap::new();
-        let mut uses_since_def: HashMap<Reg, Vec<usize>> = HashMap::new();
+        let mut last_def: FastHashMap<Reg, usize> = FastHashMap::default();
+        let mut uses_since_def: FastHashMap<Reg, Vec<usize>> = FastHashMap::default();
         let mut prior_loads: Vec<usize> = Vec::new();
         let mut prior_stores: Vec<usize> = Vec::new();
         // line_group -> index of the group's miss load.
-        let mut group_miss: HashMap<u32, usize> = HashMap::new();
+        let mut group_miss: FastHashMap<u32, usize> = FastHashMap::default();
 
         for (i, inst) in insts.iter().enumerate() {
             // RAW from each source's last def.

@@ -16,7 +16,6 @@ use crate::opcode::Op;
 use crate::program::Program;
 use crate::reg::{Reg, RegClass};
 use crate::value::{self, Value};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Execution errors.
@@ -60,8 +59,9 @@ impl std::error::Error for ExecError {}
 pub struct Profile {
     /// Executions of each block, indexed by block id.
     pub block_counts: Vec<u64>,
-    /// Executions of each control-flow edge.
-    pub edge_counts: HashMap<(BlockId, BlockId), u64>,
+    /// Executions of each control-flow edge, kept per source block as
+    /// up to two `(successor, count)` slots (a zero count is a free slot).
+    edge_counts: Vec<[(BlockId, u64); 2]>,
 }
 
 impl Profile {
@@ -74,7 +74,24 @@ impl Profile {
     /// Execution count of the edge `from -> to`.
     #[must_use]
     pub fn edge(&self, from: BlockId, to: BlockId) -> u64 {
-        self.edge_counts.get(&(from, to)).copied().unwrap_or(0)
+        self.edge_counts.get(from.index()).map_or(0, |slots| {
+            slots
+                .iter()
+                .find(|&&(t, n)| t == to && n > 0)
+                .map_or(0, |&(_, n)| n)
+        })
+    }
+
+    /// Counts one traversal of `from -> to`. A block has at most two
+    /// successors, and slot 0 fills first.
+    fn record_edge(&mut self, from: BlockId, to: BlockId) {
+        let slots = &mut self.edge_counts[from.index()];
+        let k = usize::from(slots[0].1 != 0 && slots[0].0 != to);
+        debug_assert!(
+            slots[k].1 == 0 || slots[k].0 == to,
+            "more than two successors"
+        );
+        slots[k] = (to, slots[k].1 + 1);
     }
 }
 
@@ -116,10 +133,7 @@ impl RegFile {
     /// Dense slot index of a register (physical first, then virtual).
     #[must_use]
     pub fn slot(r: Reg) -> usize {
-        match r.virt_index() {
-            Some(v) => Reg::NUM_PHYS as usize + v as usize,
-            None => r.index() as usize,
-        }
+        r.slot()
     }
 
     /// Reads a register.
@@ -255,7 +269,7 @@ impl<'p> Interp<'p> {
         let mut mem = MemImage::new(self.program);
         let mut profile = Profile {
             block_counts: vec![0; func.blocks().len()],
-            edge_counts: HashMap::new(),
+            edge_counts: vec![[(func.entry(), 0); 2]; func.blocks().len()],
         };
         let mut inst_count: u64 = 0;
         let mut branch_count: u64 = 0;
@@ -296,7 +310,7 @@ impl<'p> Interp<'p> {
                     });
                 }
             };
-            *profile.edge_counts.entry((cur, next)).or_insert(0) += 1;
+            profile.record_edge(cur, next);
             cur = next;
         }
     }

@@ -9,7 +9,8 @@
 //! * [`Block`]/[`Function`]/[`Program`]: basic blocks with explicit
 //!   terminators, functions carrying counted-loop metadata, and programs
 //!   with named, cache-line-aligned memory regions.
-//! * [`mod@cfg`]/[`dom`]/[`loops`]/[`liveness`]: control-flow analyses.
+//! * [`mod@cfg`]/[`dom`]/[`loops`]/[`liveness`]: control-flow analyses,
+//!   with register sets as dense bitsets ([`RegSet`]).
 //! * [`dag`]: per-region code DAGs (data-dependence graphs) with memory
 //!   disambiguation and locality-analysis ordering arcs — the structure the
 //!   balanced scheduler's load-level-parallelism computation walks.
@@ -53,6 +54,7 @@ pub mod loops;
 pub mod opcode;
 pub mod program;
 pub mod reg;
+pub mod regset;
 pub mod value;
 pub mod verify;
 
@@ -70,5 +72,6 @@ pub use loops::{LoopForest, NaturalLoop};
 pub use opcode::{Op, OpClass};
 pub use program::{Program, Region, RegionId};
 pub use reg::{Reg, RegClass};
+pub use regset::RegSet;
 pub use value::Value;
 pub use verify::{verify_function, verify_program, VerifyError};

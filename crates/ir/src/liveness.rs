@@ -8,14 +8,13 @@
 use crate::block::BlockId;
 use crate::cfg::Cfg;
 use crate::func::Function;
-use crate::reg::Reg;
-use std::collections::HashSet;
+use crate::regset::RegSet;
 
 /// Per-block live-in / live-out register sets.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    live_in: Vec<HashSet<Reg>>,
-    live_out: Vec<HashSet<Reg>>,
+    live_in: Vec<RegSet>,
+    live_out: Vec<RegSet>,
 }
 
 impl Liveness {
@@ -23,14 +22,14 @@ impl Liveness {
     #[must_use]
     pub fn new(func: &Function, cfg: &Cfg) -> Self {
         let n = func.blocks().len();
-        let mut uses: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-        let mut defs: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+        let mut uses: Vec<RegSet> = vec![RegSet::for_function(func); n];
+        let mut defs: Vec<RegSet> = uses.clone();
 
         for (id, block) in func.iter_blocks() {
             let (u, d) = (&mut uses[id.index()], &mut defs[id.index()]);
             for inst in &block.insts {
                 for &s in inst.srcs() {
-                    if !d.contains(&s) {
+                    if !d.contains(s) {
                         u.insert(s);
                     }
                 }
@@ -39,34 +38,52 @@ impl Liveness {
                 }
             }
             if let Some(c) = block.term.cond_reg() {
-                if !d.contains(&c) {
+                if !d.contains(c) {
                     u.insert(c);
                 }
             }
         }
 
-        let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-        let mut live_out: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+        // The word-wise dataflow needs one width. A register beyond the
+        // function's counters (built with `Reg::virt`, not `new_reg`)
+        // widened its set on insert; widen the rest to match.
+        let words = uses
+            .iter()
+            .chain(&defs)
+            .map(|s| s.words.len())
+            .max()
+            .unwrap_or(0);
+        for set in uses.iter_mut().chain(&mut defs) {
+            set.words.resize(words, 0);
+        }
+        let empty = RegSet {
+            words: vec![0; words],
+        };
+        let mut live_in: Vec<RegSet> = vec![empty.clone(); n];
+        let mut live_out: Vec<RegSet> = vec![empty.clone(); n];
+        let mut out = empty;
         let mut changed = true;
         while changed {
             changed = false;
             // Reverse RPO converges quickly for reducible CFGs.
             for &b in cfg.rpo().iter().rev() {
                 let bi = b.index();
-                let mut out = HashSet::new();
+                out.words.fill(0);
                 for &s in cfg.succs(b) {
-                    out.extend(live_in[s.index()].iter().copied());
-                }
-                let mut inn = uses[bi].clone();
-                for &r in &out {
-                    if !defs[bi].contains(&r) {
-                        inn.insert(r);
+                    for (o, &w) in out.words.iter_mut().zip(&live_in[s.index()].words) {
+                        *o |= w;
                     }
                 }
-                if out != live_out[bi] || inn != live_in[bi] {
-                    live_out[bi] = out;
-                    live_in[bi] = inn;
+                if out != live_out[bi] {
+                    live_out[bi].words.copy_from_slice(&out.words);
                     changed = true;
+                }
+                // in = use ∪ (out − def)
+                let (u, d) = (&uses[bi].words, &defs[bi].words);
+                for (k, w) in live_in[bi].words.iter_mut().enumerate() {
+                    let inn = u[k] | (out.words[k] & !d[k]);
+                    changed |= *w != inn;
+                    *w = inn;
                 }
             }
         }
@@ -75,13 +92,13 @@ impl Liveness {
 
     /// Registers live on entry to `b`.
     #[must_use]
-    pub fn live_in(&self, b: BlockId) -> &HashSet<Reg> {
+    pub fn live_in(&self, b: BlockId) -> &RegSet {
         &self.live_in[b.index()]
     }
 
     /// Registers live on exit from `b`.
     #[must_use]
-    pub fn live_out(&self, b: BlockId) -> &HashSet<Reg> {
+    pub fn live_out(&self, b: BlockId) -> &RegSet {
         &self.live_out[b.index()]
     }
 }
@@ -92,7 +109,7 @@ mod tests {
     use crate::block::{Block, BrCond, Terminator};
     use crate::inst::Inst;
     use crate::opcode::Op;
-    use crate::reg::RegClass;
+    use crate::reg::{Reg, RegClass};
 
     #[test]
     fn straight_line_liveness() {
@@ -108,9 +125,9 @@ mod tests {
         f.block_mut(b1).insts.push(Inst::store(y, x, 0));
         let cfg = Cfg::new(&f);
         let l = Liveness::new(&f, &cfg);
-        assert!(l.live_out(f.entry()).contains(&x));
-        assert!(l.live_in(b1).contains(&x));
-        assert!(!l.live_in(b1).contains(&y));
+        assert!(l.live_out(f.entry()).contains(x));
+        assert!(l.live_in(b1).contains(x));
+        assert!(!l.live_in(b1).contains(y));
         assert!(l.live_out(b1).is_empty());
         assert!(l.live_in(f.entry()).is_empty());
     }
@@ -139,10 +156,28 @@ mod tests {
         f.block_mut(exit).insts.push(Inst::store(s, s, 0));
         let cfg = Cfg::new(&f);
         let l = Liveness::new(&f, &cfg);
-        assert!(l.live_in(h).contains(&s));
-        assert!(l.live_in(h).contains(&c), "branch condition is a use");
-        assert!(l.live_out(body).contains(&s));
-        assert!(l.live_in(exit).contains(&s));
+        assert!(l.live_in(h).contains(s));
+        assert!(l.live_in(h).contains(c), "branch condition is a use");
+        assert!(l.live_out(body).contains(s));
+        assert!(l.live_in(exit).contains(s));
+    }
+
+    #[test]
+    fn registers_beyond_the_counters_are_tracked() {
+        // entry: x = li 1 ; jmp b1 / b1: st y, [x+0] ; ret, with y made
+        // by `Reg::virt` far past the function's vreg counter.
+        let mut f = Function::new("t");
+        let x = f.new_reg(RegClass::Int);
+        let y = Reg::virt(RegClass::Float, 500);
+        let b1 = f.add_block(Block::new(Terminator::Ret));
+        f.block_mut(f.entry()).insts.push(Inst::li(x, 1));
+        f.block_mut(f.entry()).term = Terminator::Jmp(b1);
+        f.block_mut(b1).insts.push(Inst::store(y, x, 0));
+        let cfg = Cfg::new(&f);
+        let l = Liveness::new(&f, &cfg);
+        assert!(l.live_in(b1).contains(y) && l.live_in(b1).contains(x));
+        assert!(l.live_out(f.entry()).contains(y));
+        assert!(l.live_in(f.entry()).contains(y) && !l.live_in(f.entry()).contains(x));
     }
 
     #[test]
@@ -160,6 +195,6 @@ mod tests {
         };
         let cfg = Cfg::new(&f);
         let l = Liveness::new(&f, &cfg);
-        assert!(!l.live_in(f.entry()).contains(&c));
+        assert!(!l.live_in(f.entry()).contains(c));
     }
 }

@@ -106,6 +106,38 @@ impl Reg {
     pub fn virt_index(self) -> Option<u32> {
         self.index.checked_sub(Self::FIRST_VIRTUAL)
     }
+
+    /// Dense per-class slot: physical registers first, then virtual
+    /// ones. This is the index of a [`crate::RegFile`].
+    #[must_use]
+    pub fn slot(self) -> usize {
+        match self.virt_index() {
+            Some(v) => Self::NUM_PHYS as usize + v as usize,
+            None => self.index as usize,
+        }
+    }
+
+    /// Dense index over both classes: the [`Reg::slot`] with the int and
+    /// float files interleaved. [`crate::RegSet`] is a bitset over it.
+    #[must_use]
+    pub fn dense(self) -> usize {
+        2 * self.slot() + usize::from(self.class == RegClass::Float)
+    }
+
+    /// The register with dense index `i` (inverse of [`Reg::dense`]).
+    #[must_use]
+    pub fn from_dense(i: usize) -> Reg {
+        let class = if i & 1 == 0 {
+            RegClass::Int
+        } else {
+            RegClass::Float
+        };
+        let slot = (i / 2) as u32;
+        match slot.checked_sub(Self::NUM_PHYS) {
+            Some(v) => Reg::virt(class, v),
+            None => Reg::phys(class, slot),
+        }
+    }
 }
 
 impl fmt::Debug for Reg {
@@ -149,6 +181,21 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn phys_out_of_range_panics() {
         let _ = Reg::phys(RegClass::Int, Reg::NUM_PHYS);
+    }
+
+    #[test]
+    fn dense_index_round_trips() {
+        for class in RegClass::ALL {
+            for r in [
+                Reg::phys(class, 0),
+                Reg::phys(class, 30),
+                Reg::virt(class, 0),
+                Reg::virt(class, 77),
+            ] {
+                assert_eq!(Reg::from_dense(r.dense()), r);
+            }
+        }
+        assert_eq!(Reg::virt(RegClass::Int, 0).slot(), Reg::NUM_PHYS as usize);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use crate::block::Terminator;
 use crate::func::{Bound, Function};
+use crate::inst::Inst;
 use crate::opcode::Op;
 use crate::program::Program;
 use crate::reg::RegClass;
@@ -32,6 +33,64 @@ fn err<T>(message: impl Into<String>) -> Result<T, VerifyError> {
     })
 }
 
+/// Checks one instruction; on failure returns the defect without its
+/// location.
+fn check_inst(inst: &Inst) -> Result<(), String> {
+    // Destination presence/class.
+    match inst.op {
+        Op::St => {
+            if inst.dst.is_some() {
+                return Err("store must not define a register".into());
+            }
+        }
+        _ => {
+            let Some(dst) = inst.dst else {
+                return Err("missing destination".into());
+            };
+            if let Some(c) = inst.op.fixed_dst_class() {
+                if dst.class() != c {
+                    return Err(format!("destination class must be {c}"));
+                }
+            }
+        }
+    }
+    // Source counts (immediate may replace one ALU source).
+    let want = inst.op.num_srcs();
+    let got = inst.srcs().len();
+    let imm_ok = inst.imm.is_some();
+    let arity_ok = match inst.op {
+        Op::Ld | Op::St => got == want && imm_ok,
+        Op::Li => got == 0 && imm_ok,
+        Op::FLi | Op::LdAddr => got == 0,
+        _ => got == want || (imm_ok && got + 1 == want),
+    };
+    if !arity_ok {
+        return Err(format!("bad operand count ({got} srcs, imm={imm_ok})"));
+    }
+    // Memory metadata.
+    if inst.op.is_memory() && inst.mem.is_none() {
+        return Err("memory access without MemAccess metadata".into());
+    }
+    if inst.op == Op::LdAddr && inst.mem.and_then(|m| m.region).is_none() {
+        return Err("ldaddr without region".into());
+    }
+    // Class checks for selected ops.
+    match inst.op {
+        Op::Ld | Op::St if inst.mem_base().class() != RegClass::Int => {
+            return Err("memory base must be an integer register".into());
+        }
+        Op::Cmov | Op::FCmov if inst.srcs()[0].class() != RegClass::Int => {
+            return Err("select condition must be integer".into());
+        }
+        _ => {}
+    }
+    // Locality hints only belong on loads.
+    if inst.hint != crate::inst::LocalityHint::Unknown && !inst.op.is_load() {
+        return Err("locality hint on non-load".into());
+    }
+    Ok(())
+}
+
 /// Verifies one function.
 ///
 /// # Errors
@@ -44,61 +103,10 @@ pub fn verify_function(func: &Function) -> Result<(), VerifyError> {
     }
     for (id, block) in func.iter_blocks() {
         for (k, inst) in block.insts.iter().enumerate() {
-            let at = format!("{id}[{k}] `{inst}`");
-            // Destination presence/class.
-            match inst.op {
-                Op::St => {
-                    if inst.dst.is_some() {
-                        return err(format!("{at}: store must not define a register"));
-                    }
-                }
-                _ => {
-                    let dst = match inst.dst {
-                        Some(d) => d,
-                        None => return err(format!("{at}: missing destination")),
-                    };
-                    if let Some(c) = inst.op.fixed_dst_class() {
-                        if dst.class() != c {
-                            return err(format!("{at}: destination class must be {c}"));
-                        }
-                    }
-                }
-            }
-            // Source counts (immediate may replace one ALU source).
-            let want = inst.op.num_srcs();
-            let got = inst.srcs().len();
-            let imm_ok = inst.imm.is_some();
-            let arity_ok = match inst.op {
-                Op::Ld | Op::St => got == want && imm_ok,
-                Op::Li => got == 0 && imm_ok,
-                Op::FLi | Op::LdAddr => got == 0,
-                _ => got == want || (imm_ok && got + 1 == want),
-            };
-            if !arity_ok {
-                return err(format!(
-                    "{at}: bad operand count ({got} srcs, imm={imm_ok})"
-                ));
-            }
-            // Memory metadata.
-            if inst.op.is_memory() && inst.mem.is_none() {
-                return err(format!("{at}: memory access without MemAccess metadata"));
-            }
-            if inst.op == Op::LdAddr && inst.mem.and_then(|m| m.region).is_none() {
-                return err(format!("{at}: ldaddr without region"));
-            }
-            // Class checks for selected ops.
-            match inst.op {
-                Op::Ld | Op::St if inst.mem_base().class() != RegClass::Int => {
-                    return err(format!("{at}: memory base must be an integer register"));
-                }
-                Op::Cmov | Op::FCmov if inst.srcs()[0].class() != RegClass::Int => {
-                    return err(format!("{at}: select condition must be integer"));
-                }
-                _ => {}
-            }
-            // Locality hints only belong on loads.
-            if inst.hint != crate::inst::LocalityHint::Unknown && !inst.op.is_load() {
-                return err(format!("{at}: locality hint on non-load"));
+            // The location prefix is formatted only for a failing
+            // instruction: this runs after every pass.
+            if let Err(defect) = check_inst(inst) {
+                return err(format!("{id}[{k}] `{inst}`: {defect}"));
             }
         }
         // Terminator targets in range.
@@ -208,7 +216,10 @@ mod tests {
         let mut bad = Inst::op(Op::Add, i, &[i, i]);
         bad.dst = Some(x);
         f.block_mut(e).insts.push(bad);
-        assert!(verify_function(&f).is_err());
+        assert_eq!(
+            verify_function(&f).unwrap_err().to_string(),
+            "IR verification failed: bb0[0] `add %f0, %r0, %r0`: destination class must be int"
+        );
     }
 
     #[test]

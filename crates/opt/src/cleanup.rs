@@ -2,8 +2,8 @@
 //! propagation, global dead-code elimination, straight-chain block
 //! merging, and counted-loop metadata refresh.
 
-use bsched_ir::{Cfg, Dominators, Function, LoopForest, Op, Reg};
-use std::collections::{HashMap, HashSet};
+use bsched_ir::{Cfg, Dominators, Function, LoopForest, Op, Reg, RegSet};
+use bsched_util::{FastHashMap, FastHashSet};
 
 /// Local (per-block) copy propagation: uses of `mov dst, src` results are
 /// rewritten to `src` until either register is redefined. Run
@@ -12,7 +12,7 @@ pub fn copy_propagate(func: &mut Function) {
     let nblocks = func.blocks().len();
     for bi in 0..nblocks {
         let id = bsched_ir::BlockId::new(bi);
-        let mut map: HashMap<Reg, Reg> = HashMap::new();
+        let mut map: FastHashMap<Reg, Reg> = FastHashMap::default();
         let block = func.block_mut(id);
         for inst in &mut block.insts {
             for s in inst.srcs_mut() {
@@ -47,7 +47,7 @@ pub fn copy_propagate(func: &mut Function) {
 pub fn dead_code_elim(func: &mut Function) -> usize {
     let mut removed = 0;
     loop {
-        let mut used: HashSet<Reg> = HashSet::new();
+        let mut used = RegSet::for_function(func);
         for (_, block) in func.iter_blocks() {
             for inst in &block.insts {
                 used.extend(inst.srcs().iter().copied());
@@ -63,7 +63,7 @@ pub fn dead_code_elim(func: &mut Function) -> usize {
             let block = func.block_mut(id);
             let before = block.insts.len();
             block.insts.retain(|inst| match inst.dst {
-                Some(d) => inst.op.is_store() || used.contains(&d),
+                Some(d) => inst.op.is_store() || used.contains(d),
                 None => true,
             });
             removed_this_round += before - block.insts.len();
@@ -85,7 +85,7 @@ pub fn merge_straight_chains(func: &mut Function) -> usize {
     let mut merges = 0;
     loop {
         let cfg = Cfg::new(func);
-        let protected: HashSet<bsched_ir::BlockId> = func
+        let protected: FastHashSet<bsched_ir::BlockId> = func
             .loops
             .iter()
             .flat_map(|l| [l.header, l.latch])
@@ -369,16 +369,18 @@ pub fn local_cse(func: &mut Function) -> usize {
     let nblocks = func.blocks().len();
     for bi in 0..nblocks {
         let id = bsched_ir::BlockId::new(bi);
-        let mut version: HashMap<Reg, u32> = HashMap::new();
+        let mut version: FastHashMap<Reg, u32> = FastHashMap::default();
         // key -> (result reg, result version at definition time)
-        let mut table: HashMap<Key, (Reg, u32)> = HashMap::new();
+        let mut table: FastHashMap<Key, (Reg, u32)> = FastHashMap::default();
         // Copy forwarding so CSE-inserted copies share value numbers.
-        let mut copies: HashMap<Reg, Reg> = HashMap::new();
+        let mut copies: FastHashMap<Reg, Reg> = FastHashMap::default();
         let block = func.block_mut(id);
         let mut load_epoch: u32 = 0;
         for inst in &mut block.insts {
-            let ver = |version: &HashMap<Reg, u32>, r: Reg| version.get(&r).copied().unwrap_or(0);
-            let canon = |copies: &HashMap<Reg, Reg>, r: Reg| copies.get(&r).copied().unwrap_or(r);
+            let ver =
+                |version: &FastHashMap<Reg, u32>, r: Reg| version.get(&r).copied().unwrap_or(0);
+            let canon =
+                |copies: &FastHashMap<Reg, Reg>, r: Reg| copies.get(&r).copied().unwrap_or(r);
             let cse_able = match inst.op {
                 Op::St | Op::LdAddr => false,
                 Op::Ld => true,

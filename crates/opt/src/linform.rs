@@ -10,8 +10,8 @@
 //! uses it to classify array references as spatial (`a` equals a small
 //! element stride) or temporal (`a == 0`).
 
-use bsched_ir::{Inst, Op, Reg};
-use std::collections::{HashMap, HashSet};
+use bsched_ir::{Inst, Op, Reg, RegSet};
+use bsched_util::FastHashMap;
 
 /// An affine value: `(opaque invariant part) + a * counter + b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,8 +112,8 @@ impl LinForm {
 pub struct LinEnv {
     counter: Reg,
     /// Registers defined inside the region (everything else is invariant).
-    defined_in_region: HashSet<Reg>,
-    map: HashMap<Reg, Option<LinForm>>,
+    defined_in_region: RegSet,
+    map: FastHashMap<Reg, Option<LinForm>>,
 }
 
 impl LinEnv {
@@ -121,11 +121,11 @@ impl LinEnv {
     /// `counter`. `defined_in_region` must contain every register the
     /// region defines, so outside registers are treated as loop-invariant.
     #[must_use]
-    pub fn new(counter: Reg, defined_in_region: HashSet<Reg>) -> Self {
+    pub fn new(counter: Reg, defined_in_region: RegSet) -> Self {
         LinEnv {
             counter,
             defined_in_region,
-            map: HashMap::new(),
+            map: FastHashMap::default(),
         }
     }
 
@@ -135,7 +135,7 @@ impl LinEnv {
         if r == self.counter {
             return Some(LinForm::counter());
         }
-        if !self.defined_in_region.contains(&r) {
+        if !self.defined_in_region.contains(r) {
             return Some(LinForm::invariant());
         }
         self.map.get(&r).copied().flatten()
@@ -160,7 +160,7 @@ impl LinEnv {
                     // lookup() handles the counter and out-of-region regs.
                     self.lookup(s).is_some_and(|f| f.is_invariant())
                 } else {
-                    !self.defined_in_region.contains(&s)
+                    !self.defined_in_region.contains(s)
                 }
             });
             if all_invariant {
@@ -210,11 +210,7 @@ impl LinEnv {
 /// straight-line instruction sequence; entry `i` corresponds to
 /// instruction `i`'s destination (None for stores / non-affine results).
 #[must_use]
-pub fn scan_block(
-    insts: &[Inst],
-    counter: Reg,
-    defined_in_region: HashSet<Reg>,
-) -> Vec<Option<LinForm>> {
+pub fn scan_block(insts: &[Inst], counter: Reg, defined_in_region: RegSet) -> Vec<Option<LinForm>> {
     let mut env = LinEnv::new(counter, defined_in_region);
     let mut out = Vec::with_capacity(insts.len());
     for inst in insts {
@@ -226,8 +222,8 @@ pub fn scan_block(
 
 /// Collects every register defined by the given instruction slices.
 #[must_use]
-pub fn defined_regs<'a>(regions: impl IntoIterator<Item = &'a [Inst]>) -> HashSet<Reg> {
-    let mut set = HashSet::new();
+pub fn defined_regs<'a>(regions: impl IntoIterator<Item = &'a [Inst]>) -> RegSet {
+    let mut set = RegSet::new();
     for insts in regions {
         for i in insts {
             if let Some(d) = i.dst {

@@ -20,7 +20,7 @@ use crate::linform::{defined_regs, LinEnv};
 use crate::peel::peel_first_iteration;
 use crate::unroll::{unroll_loop, UnrollLimits};
 use bsched_ir::{Function, Inst, LocalityHint, MemAccess, Op, Reg};
-use std::collections::HashMap;
+use bsched_util::FastHashMap;
 
 /// Cache-line size locality analysis assumes (Alpha 21164 L1: 32 bytes).
 pub const LINE_BYTES: i64 = 32;
@@ -152,14 +152,14 @@ fn entry_alignment(func: &Function, loop_idx: usize, load: &Inst) -> Option<i64>
         .rev()
         .find(|i| i.dst == Some(l.counter))
         .and_then(|i| if i.op == Op::Li { i.imm } else { None })?;
-    let mut subst = HashMap::new();
+    let mut subst = FastHashMap::default();
     subst.insert(l.counter, init);
     let base_mod = mod_line(func, load.mem_base(), &subst, 0)?;
     Some((base_mod + load.mem_disp()).rem_euclid(LINE_BYTES))
 }
 
 /// Resolves `reg mod LINE_BYTES` by chasing unique defs.
-fn mod_line(func: &Function, reg: Reg, subst: &HashMap<Reg, i64>, depth: usize) -> Option<i64> {
+fn mod_line(func: &Function, reg: Reg, subst: &FastHashMap<Reg, i64>, depth: usize) -> Option<i64> {
     if depth > 32 {
         return None;
     }
@@ -223,7 +223,7 @@ fn mod_line(func: &Function, reg: Reg, subst: &HashMap<Reg, i64>, depth: usize) 
 pub fn apply_locality(func: &mut Function, options: &LocalityOptions) -> LocalityStats {
     let mut stats = LocalityStats::default();
     let refs = analyze_locality(func);
-    let mut by_loop: HashMap<usize, Vec<ReuseRef>> = HashMap::new();
+    let mut by_loop: FastHashMap<usize, Vec<ReuseRef>> = FastHashMap::default();
     for r in refs {
         by_loop.entry(r.loop_idx).or_default().push(r);
     }
@@ -483,7 +483,7 @@ mod tests {
             .filter(|i| i.hint == LocalityHint::Hit)
             .count();
         assert_eq!((misses, hits), (1, 3));
-        let groups: std::collections::HashSet<_> = a_loads
+        let groups: std::collections::BTreeSet<_> = a_loads
             .iter()
             .filter_map(|i| i.mem.and_then(|m| m.line_group))
             .collect();
@@ -524,7 +524,7 @@ mod tests {
             .filter(|i| i.hint == LocalityHint::Miss)
             .count();
         assert_eq!(misses, 2, "two cache lines per unrolled iteration");
-        let groups: std::collections::HashSet<_> = a_loads
+        let groups: std::collections::BTreeSet<_> = a_loads
             .iter()
             .filter_map(|i| i.mem.and_then(|m| m.line_group))
             .collect();

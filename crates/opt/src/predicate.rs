@@ -18,7 +18,7 @@
 //! assumption documented in DESIGN.md.
 
 use bsched_ir::{BlockId, BrCond, Cfg, Function, Inst, Liveness, Reg, Terminator};
-use std::collections::{HashMap, HashSet};
+use bsched_util::{FastHashMap, FastHashSet};
 
 /// Maximum instructions per predicated arm ("simple" conditionals only).
 pub const MAX_ARM_INSTS: usize = 12;
@@ -33,8 +33,8 @@ fn arm_ok(func: &Function, b: BlockId, join: BlockId) -> bool {
 
 /// Renames every def in an arm to fresh registers; returns the rewritten
 /// instructions and the final name of each renamed register.
-fn rename_arm(func: &mut Function, insts: &[Inst]) -> (Vec<Inst>, HashMap<Reg, Reg>) {
-    let mut map: HashMap<Reg, Reg> = HashMap::new();
+fn rename_arm(func: &mut Function, insts: &[Inst]) -> (Vec<Inst>, FastHashMap<Reg, Reg>) {
+    let mut map: FastHashMap<Reg, Reg> = FastHashMap::default();
     let mut out = Vec::with_capacity(insts.len());
     for inst in insts {
         let mut ni = inst.clone();
@@ -68,7 +68,7 @@ fn try_convert(func: &mut Function, cfg: &Cfg, live: &Liveness, a: BlockId) -> b
     if taken == fall {
         return false;
     }
-    let protected: HashSet<BlockId> = func
+    let protected: FastHashSet<BlockId> = func
         .loops
         .iter()
         .flat_map(|l| [l.header, l.latch])
@@ -142,7 +142,7 @@ fn try_convert(func: &mut Function, cfg: &Cfg, live: &Liveness, a: BlockId) -> b
     let mut defined: Vec<Reg> = Vec::new();
     for i in nz_insts.iter().chain(&z_insts) {
         if let Some(d) = i.dst {
-            if join_live.contains(&d) && !defined.contains(&d) {
+            if join_live.contains(d) && !defined.contains(&d) {
                 defined.push(d);
             }
         }

@@ -32,7 +32,7 @@ use bsched_ir::{
     Block, BlockId, Cfg, DagBuilder, DepKind, Dominators, Function, Inst, Liveness, LoopForest, Op,
     Terminator,
 };
-use std::collections::HashSet;
+use bsched_util::FastHashSet;
 
 /// Options for trace scheduling.
 #[derive(Debug, Clone, Copy)]
@@ -93,7 +93,7 @@ fn form_traces(
     forest: &LoopForest,
     profile: &EdgeProfile,
 ) -> Vec<Vec<BlockId>> {
-    let mut visited: HashSet<BlockId> = HashSet::new();
+    let mut visited: FastHashSet<BlockId> = FastHashSet::default();
     let mut order: Vec<BlockId> = cfg.rpo().to_vec();
     // Hottest blocks seed first; stable tie-break on id.
     order.sort_by_key(|&b| (std::cmp::Reverse(profile.block(b)), b.index()));
@@ -227,7 +227,7 @@ fn compact_trace(
                     let Item::Real(inst) = item else { continue };
                     let unsafe_spec = !options.speculation
                         || inst.op.is_store()
-                        || inst.dst.is_some_and(|d| off_live.contains(&d));
+                        || inst.dst.is_some_and(|d| off_live.contains(d));
                     if unsafe_spec {
                         builder.add_edge(c, x, DepKind::Order);
                     }
@@ -476,7 +476,7 @@ mod tests {
         let traces = form_traces(f, &cfg, &forest, &profile);
         // The hottest trace must contain the body block plus the hot arm,
         // and no block may repeat across traces.
-        let mut seen = HashSet::new();
+        let mut seen = FastHashSet::default();
         for t in &traces {
             for b in t {
                 assert!(seen.insert(*b), "block {b} in two traces");

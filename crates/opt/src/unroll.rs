@@ -24,8 +24,8 @@
 //!    cache-line alignment for locality analysis.
 
 use crate::linform::{defined_regs, LinEnv};
-use bsched_ir::{Block, BlockId, Bound, BrCond, Function, Inst, Op, Reg, Terminator};
-use std::collections::HashMap;
+use bsched_ir::{Block, BlockId, Bound, BrCond, Function, Inst, Op, Reg, RegSet, Terminator};
+use bsched_util::FastHashMap;
 
 /// Unrolling limits (paper §4.2: "We disabled loop unrolling when the
 /// unrolled block reached 64 instructions (4) or 128 (8)").
@@ -208,7 +208,7 @@ pub fn unroll_loop(
         }
         env.step(inst);
     }
-    let mut def_count: HashMap<Reg, usize> = HashMap::new();
+    let mut def_count: FastHashMap<Reg, usize> = FastHashMap::default();
     for inst in &orig_body {
         if let Some(d) = inst.dst {
             *def_count.entry(d).or_insert(0) += 1;
@@ -217,7 +217,7 @@ pub fn unroll_loop(
     let renameable = |r: Reg| def_count.get(&r).copied() == Some(1);
     // An address register is reusable across copies if copy 0's name is
     // stable: invariant, the counter itself, or a single-def body reg.
-    let addr_reusable = |r: Reg| r == l.counter || !defined.contains(&r) || renameable(r);
+    let addr_reusable = |r: Reg| r == l.counter || !defined.contains(r) || renameable(r);
     // Loop-carried (or used-after-loop) registers must hold their value in
     // the *original* name whenever control reaches the header, so the
     // final copy writes them back under their original names.
@@ -225,10 +225,9 @@ pub fn unroll_loop(
         let cfg = bsched_ir::Cfg::new(func);
         bsched_ir::Liveness::new(func, &cfg)
     };
-    let writeback: std::collections::HashSet<Reg> = live
+    let writeback: RegSet = live
         .live_in(l.header)
         .iter()
-        .copied()
         .filter(|&r| renameable(r))
         .collect();
 
@@ -245,7 +244,7 @@ pub fn unroll_loop(
         new_insts.push(ni);
     }
 
-    let mut carried: HashMap<Reg, Reg> = HashMap::new();
+    let mut carried: FastHashMap<Reg, Reg> = FastHashMap::default();
     for c in 1..fac {
         let mut jc: Option<Reg> = None;
         let mut map = Vec::with_capacity(orig_body.len());
@@ -289,7 +288,7 @@ pub fn unroll_loop(
             // registers back under their original names.
             if let Some(d) = ni.dst {
                 if renameable(d) {
-                    if c == fac - 1 && writeback.contains(&d) {
+                    if c == fac - 1 && writeback.contains(d) {
                         carried.insert(d, d);
                     } else {
                         let nd = func.new_reg(d.class());
@@ -502,7 +501,7 @@ mod tests {
         // Copies 1..3 are renamed; the final copy writes the accumulator
         // back under its original (loop-carried) name, which copy 0 also
         // wrote — so three distinct destinations.
-        let dsts: std::collections::HashSet<_> = adds.iter().map(|x| x.dst.unwrap()).collect();
+        let dsts: std::collections::BTreeSet<_> = adds.iter().map(|x| x.dst.unwrap()).collect();
         assert_eq!(
             dsts.len(),
             3,

@@ -10,7 +10,7 @@ use bsched_opt::{
     TraceOptions, TraceStats, UnrollLimits,
 };
 use bsched_regalloc::{allocate, AllocStats};
-use std::collections::HashSet;
+use bsched_util::FastHashSet;
 use std::fmt;
 
 /// Pipeline failures.
@@ -196,7 +196,7 @@ fn compile_inner(
     });
 
     // 2. Locality analysis (peels/unrolls/marks loops with reuse).
-    let mut consumed: HashSet<usize> = HashSet::new();
+    let mut consumed: FastHashSet<usize> = FastHashSet::default();
     if opts.locality {
         let lopts = LocalityOptions {
             factor: opts.unroll,

@@ -600,7 +600,7 @@ mod tests {
             ConfigKind::LaTrsLu(4)
         );
         // Every level resolves to a distinct configuration.
-        let kinds: std::collections::HashSet<ConfigKind> =
+        let kinds: bsched_util::FastHashSet<ConfigKind> =
             OptLevel::ALL.iter().map(|&l| l.into()).collect();
         assert_eq!(kinds.len(), OptLevel::ALL.len());
     }

@@ -5,7 +5,7 @@ use crate::run::RunResult;
 use crate::PipelineError;
 use bsched_core::SchedulerKind;
 use bsched_ir::Program;
-use std::collections::HashMap;
+use bsched_util::FastHashMap;
 
 /// The optimization combinations evaluated in the paper (Tables 4–9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,7 +117,7 @@ pub fn standard_grid() -> Vec<ExperimentConfig> {
 )]
 #[derive(Default)]
 pub struct Runner {
-    cache: HashMap<(String, String), RunResult>,
+    cache: FastHashMap<(String, String), RunResult>,
 }
 
 #[allow(deprecated)]
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn labels_are_unique() {
         let g = standard_grid();
-        let labels: std::collections::HashSet<String> =
+        let labels: std::collections::BTreeSet<String> =
             g.iter().map(|c| c.options().label()).collect();
         assert_eq!(labels.len(), g.len());
     }

@@ -9,7 +9,7 @@
 //! 4. cleanup (copy propagation, DCE, chain merging),
 //! 5. profile-guided trace scheduling (§3.2),
 //! 6. basic-block list scheduling with traditional or balanced weights,
-//! 7. linear-scan register allocation with spill insertion —
+//! 7. graph-coloring register allocation with spill insertion —
 //!
 //! and then executed on the Alpha 21164-like timing simulator. Every
 //! compiled configuration is cross-checked against the reference

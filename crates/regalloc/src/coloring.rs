@@ -1,24 +1,76 @@
 //! Exact-interference graph coloring.
 //!
-//! The linear-scan intervals in [`crate::liveness_points`] ignore lifetime
-//! holes, which over-constrains tightly scheduled unrolled blocks (a
-//! pressure-gated schedule with ≤27 simultaneously-live floats can still
-//! show >31 *interval* overlap). This allocator computes exact per-point
-//! interference from a backward liveness walk and colors greedily; only
-//! registers that genuinely exceed the register file spill.
+//! Min-max live intervals ignore lifetime holes, which over-constrains
+//! tightly scheduled unrolled blocks (a pressure-gated schedule with ≤27
+//! simultaneously-live floats can still show >31 *interval* overlap).
+//! This allocator computes exact per-point interference from a backward
+//! liveness walk and colors greedily; only registers that genuinely
+//! exceed the register file spill.
+//!
+//! The graph is dense: adjacency is one bit row per node, so a graph of
+//! `n` virtual registers costs `n²` bits.
 
-use bsched_ir::{Cfg, Function, Liveness, Reg};
-use std::collections::{HashMap, HashSet};
+use bsched_ir::{Cfg, Function, Liveness, Reg, RegClass, RegSet};
 
 /// Exact interference graph over virtual registers.
 #[derive(Debug, Default)]
 pub struct Interference {
     /// Node list in first-appearance order (block layout order).
     pub nodes: Vec<Reg>,
-    /// Adjacency sets, indexed like `nodes`.
-    pub adj: Vec<HashSet<usize>>,
-    /// Static use counts (spill-cost proxy).
-    pub uses: HashMap<Reg, u32>,
+    /// Static use counts (spill-cost proxy), indexed like `nodes`.
+    pub uses: Vec<u32>,
+    /// Node index of each register, by [`Reg::dense`] (`u32::MAX`: none).
+    node_of: Vec<u32>,
+    /// Words per adjacency row.
+    words: usize,
+    /// Adjacency bit rows: row `i` holds the neighbours of node `i`.
+    adj: Vec<u64>,
+}
+
+impl Interference {
+    /// The node index of `r`, if `r` is a virtual register of the graph.
+    #[must_use]
+    pub fn node(&self, r: Reg) -> Option<usize> {
+        match self.node_of.get(r.dense()) {
+            Some(&i) if i != u32::MAX => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    /// `true` if nodes `i` and `j` interfere.
+    #[must_use]
+    pub fn interferes(&self, i: usize, j: usize) -> bool {
+        self.adj[i * self.words + j / 64] >> (j % 64) & 1 == 1
+    }
+
+    /// The neighbours of node `i`, in increasing index order.
+    pub fn neighbors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.adj[i * self.words..(i + 1) * self.words]
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &w)| {
+                let mut rest = w;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let b = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        k * 64 + b
+                    })
+                })
+            })
+    }
+
+    fn add_node(&mut self, r: Reg) -> usize {
+        if r.dense() >= self.node_of.len() {
+            self.node_of.resize(r.dense() + 1, u32::MAX);
+        }
+        if self.node_of[r.dense()] == u32::MAX {
+            self.node_of[r.dense()] = self.nodes.len() as u32;
+            self.nodes.push(r);
+            self.uses.push(0);
+        }
+        self.node_of[r.dense()] as usize
+    }
 }
 
 /// Builds the exact interference graph of `func`'s virtual registers.
@@ -27,66 +79,72 @@ pub fn interference(func: &Function) -> Interference {
     let cfg = Cfg::new(func);
     let live_info = Liveness::new(func, &cfg);
 
-    let mut g = Interference::default();
-    let mut index: HashMap<Reg, usize> = HashMap::new();
+    let mut g = Interference {
+        node_of: vec![u32::MAX; RegSet::words_for(func) * 64],
+        ..Interference::default()
+    };
     // Deterministic node order: first textual appearance.
     for (_, block) in func.iter_blocks() {
         for inst in &block.insts {
             for &s in inst.srcs() {
-                if !s.is_phys() && !index.contains_key(&s) {
-                    index.insert(s, g.nodes.len());
-                    g.nodes.push(s);
-                    g.adj.push(HashSet::new());
+                if !s.is_phys() {
+                    let i = g.add_node(s);
+                    g.uses[i] += 1;
                 }
-                *g.uses.entry(s).or_insert(0) += 1;
             }
             if let Some(d) = inst.dst {
-                if !d.is_phys() && !index.contains_key(&d) {
-                    index.insert(d, g.nodes.len());
-                    g.nodes.push(d);
-                    g.adj.push(HashSet::new());
+                if !d.is_phys() {
+                    g.add_node(d);
                 }
             }
         }
         if let Some(c) = block.term.cond_reg() {
-            if !c.is_phys() && !index.contains_key(&c) {
-                index.insert(c, g.nodes.len());
-                g.nodes.push(c);
-                g.adj.push(HashSet::new());
+            if !c.is_phys() {
+                let i = g.add_node(c);
+                g.uses[i] += 1;
             }
-            *g.uses.entry(c).or_insert(0) += 1;
         }
     }
 
+    let n = g.nodes.len();
+    let words = n.div_ceil(64);
+    g.words = words;
+    g.adj = vec![0; n * words];
+    // Per-class node masks: only same-class registers interfere.
+    let mut float_mask = vec![0u64; words];
+    for (i, r) in g.nodes.iter().enumerate() {
+        if r.class() == RegClass::Float {
+            float_mask[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    // Backward walk per block with the live set as a bitset over nodes.
+    let mut live = vec![0u64; words];
     for (id, block) in func.iter_blocks() {
-        let mut live: HashSet<Reg> = live_info
-            .live_out(id)
-            .iter()
-            .copied()
-            .filter(|r| !r.is_phys())
-            .collect();
-        if let Some(c) = block.term.cond_reg() {
-            if !c.is_phys() {
-                live.insert(c);
+        live.fill(0);
+        let live_out = live_info.live_out(id).iter();
+        for r in live_out.chain(block.term.cond_reg()) {
+            if let Some(i) = g.node(r) {
+                live[i / 64] |= 1 << (i % 64);
             }
         }
         for inst in block.insts.iter().rev() {
-            if let Some(d) = inst.dst {
-                if !d.is_phys() {
-                    live.remove(&d);
-                    let di = index[&d];
-                    for &l in &live {
-                        if l.class() == d.class() {
-                            let li = index[&l];
-                            g.adj[di].insert(li);
-                            g.adj[li].insert(di);
-                        }
+            if let Some(di) = inst.dst.and_then(|d| g.node(d)) {
+                live[di / 64] &= !(1 << (di % 64));
+                let float = g.nodes[di].class() == RegClass::Float;
+                for k in 0..words {
+                    let mut m = live[k] & if float { float_mask[k] } else { !float_mask[k] };
+                    g.adj[di * words + k] |= m;
+                    while m != 0 {
+                        let li = k * 64 + m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        g.adj[li * words + di / 64] |= 1 << (di % 64);
                     }
                 }
             }
             for &s in inst.srcs() {
-                if !s.is_phys() {
-                    live.insert(s);
+                if let Some(si) = g.node(s) {
+                    live[si / 64] |= 1 << (si % 64);
                 }
             }
         }
@@ -95,76 +153,45 @@ pub fn interference(func: &Function) -> Interference {
 }
 
 /// Greedy coloring with `k` colors per class. Returns
-/// `(reg -> color, spilled regs in spill order)`.
+/// `(color per node, spilled regs in spill order)`; the color vector is
+/// indexed like [`Interference::nodes`].
 ///
-/// Nodes are colored in first-appearance order (near-interval graphs color
-/// near-optimally this way); uncolorable nodes are retried after evicting
-/// the *least-used* conflicting choice, and spill candidates are picked by
-/// minimal static use count.
+/// Nodes are colored in decreasing static use count (hot registers claim
+/// colors first), falling back to appearance order for determinism;
+/// nodes that find no free color spill.
 #[must_use]
-pub fn color(g: &Interference, k: u32) -> (HashMap<Reg, u32>, Vec<Reg>) {
-    let mut colors: HashMap<Reg, u32> = HashMap::new();
-    let mut spilled: Vec<Reg> = Vec::new();
-
-    // Color in decreasing use count (hot registers claim colors first),
-    // falling back to appearance order for determinism.
-    let mut order: Vec<usize> = (0..g.nodes.len()).collect();
-    order.sort_by_key(|&i| {
-        (
-            std::cmp::Reverse(g.uses.get(&g.nodes[i]).copied().unwrap_or(0)),
-            i,
-        )
-    });
-
-    for &i in &order {
-        let reg = g.nodes[i];
-        let mut taken = vec![false; k as usize];
-        for &j in &g.adj[i] {
-            if let Some(&c) = colors.get(&g.nodes[j]) {
-                taken[c as usize] = true;
-            }
-        }
-        match taken.iter().position(|t| !t) {
-            Some(c) => {
-                colors.insert(reg, c as u32);
-            }
-            None => spilled.push(reg),
-        }
-    }
-    (colors, spilled)
+pub fn color(g: &Interference, k: u32) -> (Vec<Option<u32>>, Vec<Reg>) {
+    color_nodes(g, k, |_| true)
 }
 
-/// [`color`] restricted to one register class.
+/// [`color`] restricted to one register class; other nodes stay `None`.
 #[must_use]
-pub fn color_class(
+pub fn color_class(g: &Interference, class: RegClass, k: u32) -> (Vec<Option<u32>>, Vec<Reg>) {
+    color_nodes(g, k, |r| r.class() == class)
+}
+
+fn color_nodes(
     g: &Interference,
-    class: bsched_ir::RegClass,
     k: u32,
-) -> (HashMap<Reg, u32>, Vec<Reg>) {
-    let mut colors: HashMap<Reg, u32> = HashMap::new();
+    include: impl Fn(Reg) -> bool,
+) -> (Vec<Option<u32>>, Vec<Reg>) {
+    let mut colors: Vec<Option<u32>> = vec![None; g.nodes.len()];
     let mut spilled: Vec<Reg> = Vec::new();
     let mut order: Vec<usize> = (0..g.nodes.len())
-        .filter(|&i| g.nodes[i].class() == class)
+        .filter(|&i| include(g.nodes[i]))
         .collect();
-    order.sort_by_key(|&i| {
-        (
-            std::cmp::Reverse(g.uses.get(&g.nodes[i]).copied().unwrap_or(0)),
-            i,
-        )
-    });
+    order.sort_by_key(|&i| (std::cmp::Reverse(g.uses[i]), i));
+    let mut taken = vec![false; k as usize];
     for &i in &order {
-        let reg = g.nodes[i];
-        let mut taken = vec![false; k as usize];
-        for &j in &g.adj[i] {
-            if let Some(&c) = colors.get(&g.nodes[j]) {
+        taken.fill(false);
+        for j in g.neighbors(i) {
+            if let Some(c) = colors[j] {
                 taken[c as usize] = true;
             }
         }
         match taken.iter().position(|t| !t) {
-            Some(c) => {
-                colors.insert(reg, c as u32);
-            }
-            None => spilled.push(reg),
+            Some(c) => colors[i] = Some(c as u32),
+            None => spilled.push(g.nodes[i]),
         }
     }
     (colors, spilled)
@@ -190,7 +217,7 @@ mod tests {
         // lets y reuse a register (interval min-max would need three).
         let (colors, spilled) = color(&g, 2);
         assert!(spilled.is_empty(), "{colors:?}");
-        let distinct: std::collections::HashSet<u32> = colors.values().copied().collect();
+        let distinct: std::collections::BTreeSet<u32> = colors.iter().flatten().copied().collect();
         assert!(distinct.len() <= 2);
         let _ = (x, y);
     }
@@ -206,7 +233,10 @@ mod tests {
         let g = interference(&f);
         let (colors, spilled) = color(&g, 2);
         assert!(spilled.is_empty());
-        assert_ne!(colors[&x], colors[&y]);
+        let (xi, yi) = (g.node(x).unwrap(), g.node(y).unwrap());
+        assert!(g.interferes(xi, yi) && g.interferes(yi, xi));
+        assert!(colors[xi].is_some());
+        assert_ne!(colors[xi], colors[yi]);
     }
 
     #[test]
@@ -225,7 +255,10 @@ mod tests {
         let f = b.finish();
         let g = interference(&f);
         let (colors, spilled) = color(&g, 1);
-        assert!(colors.contains_key(&x), "hottest register keeps the color");
+        assert!(
+            colors[g.node(x).unwrap()].is_some(),
+            "hottest register keeps the color"
+        );
         assert!(spilled.contains(&y) || spilled.contains(&z));
     }
 
@@ -240,8 +273,10 @@ mod tests {
         b.ret();
         let f = b.finish();
         let g = interference(&f);
-        let xi = g.nodes.iter().position(|&r| r == x).unwrap();
-        let fi = g.nodes.iter().position(|&r| r == f1).unwrap();
-        assert!(!g.adj[xi].contains(&fi), "int and float never interfere");
+        let xi = g.node(x).unwrap();
+        let fi = g.node(f1).unwrap();
+        assert_eq!(g.nodes[xi], x);
+        assert!(!g.interferes(xi, fi), "int and float never interfere");
+        assert!(g.neighbors(xi).all(|j| g.nodes[j].class() == x.class()));
     }
 }

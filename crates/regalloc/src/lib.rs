@@ -1,4 +1,4 @@
-//! `bsched-regalloc` — linear-scan register allocation with spill code.
+//! `bsched-regalloc` — graph-coloring register allocation with spill code.
 //!
 //! Runs after instruction scheduling (the Multiflow phase order): virtual
 //! registers are mapped onto the Alpha's 31 integer / 31 floating-point
@@ -10,6 +10,10 @@
 //! independent instructions ... were less able to hide the latency of the
 //! additional spill loads" (§5.1).
 //!
+//! Assignment colors an exact interference graph ([`coloring`]) built
+//! from a backward liveness walk, so lifetime holes are reused; the
+//! registers that find no color are the ones spilled ([`allocator`]).
+//!
 //! Register file layout per class: the low registers are allocatable,
 //! three are reserved as spill-restore temporaries, and one integer
 //! register is the spill-area frame pointer.
@@ -17,8 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod allocator;
 pub mod coloring;
-pub mod linear_scan;
-pub mod liveness_points;
 
-pub use linear_scan::{allocate, AllocStats};
+pub use allocator::{allocate, AllocStats};

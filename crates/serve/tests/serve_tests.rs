@@ -53,12 +53,13 @@ impl TestServer {
                 serve(&core, &endpoint, &ServerConfig::default()).expect("serve");
             })
         };
-        // Wait for the socket to exist before handing out the endpoint.
+        // Wait until the server accepts connections before handing out
+        // the endpoint (the path appears at `bind`, before `listen`).
         let Endpoint::Unix(path) = &endpoint else {
             unreachable!()
         };
         for _ in 0..200 {
-            if path.exists() {
+            if std::os::unix::net::UnixStream::connect(path).is_ok() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));

@@ -51,8 +51,10 @@ fn start_server(tag: &str) -> TestServer {
     let Endpoint::Unix(path) = &endpoint else {
         unreachable!()
     };
+    // The path appears at `bind`, before `listen`: wait for a connect to
+    // succeed, not for the file.
     for _ in 0..200 {
-        if path.exists() {
+        if UnixStream::connect(path).is_ok() {
             break;
         }
         std::thread::sleep(Duration::from_millis(10));

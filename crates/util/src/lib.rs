@@ -7,6 +7,8 @@
 //! * [`rng`] — a deterministic SplitMix64 generator used for workload
 //!   array initialisation and the randomized property tests,
 //! * [`fnv`] — FNV-1a 64-bit hashing for content-addressed cache keys,
+//! * [`fast_hash`] — a fixed-seed multiplicative hasher and the
+//!   [`FastHashMap`]/[`FastHashSet`] aliases the compile path uses,
 //! * [`json`] — a minimal JSON reader/writer (objects, arrays, strings,
 //!   integers, floats, bools, null) for the on-disk result cache,
 //! * [`frame`] — length-prefixed JSON framing for the `bsched-serve`
@@ -17,12 +19,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fast_hash;
 pub mod fnv;
 pub mod frame;
 pub mod json;
 pub mod rng;
 pub mod spec;
 
+pub use fast_hash::{FastHashMap, FastHashSet, FastHasher};
 pub use fnv::Fnv1a;
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 pub use json::Json;
