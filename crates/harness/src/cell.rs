@@ -94,6 +94,13 @@ impl ExperimentCell {
         &self.canon[..self.compile_len]
     }
 
+    /// The machine part of the canonical key: what follows
+    /// [`compile_key`](Self::compile_key).
+    #[must_use]
+    pub fn machine_key(&self) -> &str {
+        &self.canon[self.compile_len..]
+    }
+
     /// Stable FNV-1a content hash of the canonical key — the address of
     /// this cell in the on-disk cache.
     #[must_use]

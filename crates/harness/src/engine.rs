@@ -7,12 +7,18 @@ use crate::pool;
 use crate::report::{CellTiming, RunReport};
 use crate::store::ResultStore;
 use bsched_ir::Program;
-use bsched_pipeline::{Experiment, Prepared, SourceProgram};
+use bsched_pipeline::{
+    CompileOptions, CompileStats, Experiment, FrontEnd, FrontOptions, PipelineError, Prepared,
+    Simulation, SourceProgram,
+};
 use bsched_sim::{MachineSpec, SampleConfig, SimEngine, SimMetrics, SimMode};
+use bsched_verify::CompileAudit;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The cached outcome of one cell: the simulator metrics plus the
@@ -36,9 +42,14 @@ pub struct CellResult {
 /// One executed cell's outcome and wall time.
 type CellOutcome = (Result<CellResult, HarnessError>, Duration);
 
-/// Indices into `misses`, one group per compile key, in first-appearance
-/// order; each group lists its cells in miss order.
-fn group_by_compile_key(misses: &[&ExperimentCell]) -> Vec<Vec<usize>> {
+/// Indices into `misses`, one group per compile key, each listing its
+/// cells in miss order. Groups are ordered kernel-major (by
+/// `kernel_of`), then by first appearance, so a kernel's jobs run
+/// together and its [`KernelScope`] is short-lived.
+fn group_by_compile_key(
+    misses: &[&ExperimentCell],
+    kernel_of: impl Fn(&ExperimentCell) -> usize,
+) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut index: HashMap<&str, usize> = HashMap::with_capacity(misses.len());
     for (i, cell) in misses.iter().enumerate() {
@@ -48,7 +59,111 @@ fn group_by_compile_key(misses: &[&ExperimentCell]) -> Vec<Vec<usize>> {
         });
         groups[g].push(i);
     }
+    groups.sort_by_key(|g| kernel_of(misses[g[0]]));
     groups
+}
+
+/// A value computed at most once, by whichever job asks first; racing
+/// jobs block until it is ready.
+type Once<T> = Arc<OnceLock<T>>;
+
+/// Values computed at most once each, by key.
+type Memo<K, T> = Mutex<HashMap<K, Once<T>>>;
+
+/// The slot for `key` in `map`, created empty on first request.
+fn slot<K: Eq + Hash, T>(map: &Memo<K, T>, key: K) -> Once<T> {
+    map.lock()
+        .expect("scope poisoned")
+        .entry(key)
+        .or_default()
+        .clone()
+}
+
+/// What the compile-key jobs of one kernel share within a batch: front
+/// ends by [`FrontOptions`], and simulations by compiled program and
+/// machine. Every entry is computed exactly once, by the first job
+/// that needs it. The kernel's last job clears the scope, so it holds
+/// at most one kernel's fronts and distinct programs at a time per
+/// running job.
+#[derive(Default)]
+struct KernelScope {
+    /// Jobs of this kernel not yet finished.
+    jobs_left: AtomicUsize,
+    fronts: Memo<FrontOptions, Result<Arc<FrontEnd>, PipelineError>>,
+    /// The distinct compiled programs so far, compared with
+    /// `Program`'s equality (everything the simulators read).
+    programs: Mutex<Vec<Arc<SharedProgram>>>,
+}
+
+/// One distinct compiled program of a kernel: the first compile that
+/// produced it, which simulates it for every compile key whose program
+/// is equal, and those simulations by machine key.
+struct SharedProgram {
+    prepared: Prepared,
+    runs: Memo<String, Result<Simulation, PipelineError>>,
+}
+
+impl KernelScope {
+    /// The front end of `source` under `opts.front()`, computing it
+    /// (and calling `computed`) only on first request.
+    fn front(
+        &self,
+        source: &SourceProgram,
+        opts: &CompileOptions,
+        computed: impl FnOnce(),
+    ) -> Result<Arc<FrontEnd>, PipelineError> {
+        slot(&self.fronts, opts.front())
+            .get_or_init(|| {
+                computed();
+                FrontEnd::new(source, opts).map(Arc::new)
+            })
+            .clone()
+    }
+
+    /// The scope's entry for `prepared`'s program: an earlier equal
+    /// program's, or a new one holding `prepared`.
+    fn program(&self, prepared: Prepared) -> Arc<SharedProgram> {
+        let mut programs = self.programs.lock().expect("scope poisoned");
+        if let Some(p) = programs
+            .iter()
+            .find(|p| p.prepared.program() == prepared.program())
+        {
+            return Arc::clone(p);
+        }
+        let p = Arc::new(SharedProgram {
+            prepared,
+            runs: Mutex::default(),
+        });
+        programs.push(Arc::clone(&p));
+        p
+    }
+
+    /// Marks one of the kernel's jobs finished; the last one drops
+    /// everything the scope holds.
+    fn job_done(&self) {
+        if self.jobs_left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.fronts.lock().expect("scope poisoned").clear();
+            self.programs.lock().expect("scope poisoned").clear();
+        }
+    }
+}
+
+impl SharedProgram {
+    /// The program's checked simulation on `cell`'s machine, simulating
+    /// (and calling `computed`) only on first request.
+    fn simulate(
+        &self,
+        cell: &ExperimentCell,
+        computed: impl FnOnce(),
+    ) -> Result<Simulation, PipelineError> {
+        slot(&self.runs, cell.machine_key().to_string())
+            .get_or_init(|| {
+                computed();
+                self.prepared
+                    .simulate(&MachineSpec::custom(cell.options().sim))
+            })
+            .clone()
+    }
 }
 
 /// Engine failures.
@@ -450,10 +565,21 @@ impl Engine {
         let mut pool_stats = None;
         let mut failure = None;
         if !misses.is_empty() {
-            let groups = group_by_compile_key(&misses);
+            let kernel_of = |cell: &ExperimentCell| self.index[cell.kernel()];
+            let groups = group_by_compile_key(&misses, kernel_of);
+            let scopes: Vec<KernelScope> =
+                self.kernels.iter().map(|_| KernelScope::default()).collect();
+            for group in &groups {
+                scopes[kernel_of(misses[group[0]])]
+                    .jobs_left
+                    .fetch_add(1, Ordering::Relaxed);
+            }
             let (grouped, stats) = pool::run_jobs(self.config.jobs, groups.len(), |g| {
                 let cells: Vec<&ExperimentCell> = groups[g].iter().map(|&i| misses[i]).collect();
-                self.execute_group(&cells, verify)
+                let scope = &scopes[kernel_of(cells[0])];
+                let outcomes = self.execute_group(&cells, verify, scope);
+                scope.job_done();
+                outcomes
             });
             pool_stats = Some(stats);
             let mut outcomes: Vec<Option<CellOutcome>> = misses.iter().map(|_| None).collect();
@@ -550,24 +676,40 @@ impl Engine {
     }
 
     /// Runs one compile key's cells: the first cell's span and timer
-    /// also cover the one compile, which every cell's machine then
-    /// simulates. The compiled program is dropped when the group ends.
-    fn execute_group(&self, cells: &[&ExperimentCell], verify: bool) -> Vec<CellOutcome> {
+    /// also cover the one compile (and the front end, when this job is
+    /// the first of its kernel to need it), and each cell simulates its
+    /// machine unless an equal program already did. Under `verify` the
+    /// key's audit runs once, at the first cell.
+    fn execute_group(
+        &self,
+        cells: &[&ExperimentCell],
+        verify: bool,
+        scope: &KernelScope,
+    ) -> Vec<CellOutcome> {
         let source = &self.kernels[self.index[cells[0].kernel()]].1;
-        let mut prepared = None;
+        let mut compiled = None;
+        let mut audit = None;
         cells
             .iter()
             .map(|&cell| {
                 let t0 = Instant::now();
                 let span = bsched_trace::span(bsched_trace::points::HARNESS_CELL)
                     .label_with(|| cell.to_string());
-                let outcome = match prepared.get_or_insert_with(|| self.prepare(cell, source)) {
-                    Ok(compiled) => self.execute(cell, compiled, source, verify),
-                    Err(msg) => Err(HarnessError::Cell {
-                        cell: cell.to_string(),
-                        msg: msg.clone(),
-                    }),
-                };
+                let outcome =
+                    match compiled.get_or_insert_with(|| self.prepare(cell, source, scope)) {
+                        Ok((program, stats)) => {
+                            let audit = verify.then(|| {
+                                &*audit.get_or_insert_with(|| {
+                                    bsched_verify::audit_compile(source, cell.options())
+                                })
+                            });
+                            self.execute(cell, program, stats, audit)
+                        }
+                        Err(msg) => Err(HarnessError::Cell {
+                            cell: cell.to_string(),
+                            msg: msg.clone(),
+                        }),
+                    };
                 span.finish(&[]);
                 // Workers flush per cell so a drain on the coordinating
                 // thread sees every event even while the pool is alive.
@@ -578,31 +720,47 @@ impl Engine {
     }
 
     /// Compiles `cell`'s compile key (see
-    /// [`bsched_pipeline::Session::prepare`]).
-    fn prepare(&self, cell: &ExperimentCell, source: &SourceProgram) -> Result<Prepared, String> {
+    /// [`bsched_pipeline::Session::prepare_with`]) from the scope's
+    /// front end, and files the program with the scope's distinct
+    /// programs. Returns that entry and this compile's own statistics.
+    fn prepare(
+        &self,
+        cell: &ExperimentCell,
+        source: &SourceProgram,
+        scope: &KernelScope,
+    ) -> Result<(Arc<SharedProgram>, CompileStats), String> {
         self.report.lock().expect("report poisoned").compiles += 1;
-        Experiment::builder()
+        let prepared = Experiment::builder()
             .program(cell.kernel(), source.clone())
             .compile_options(*cell.options())
             .engine(self.config.sim_engine)
             .sim_mode(self.config.sim_mode)
             .build()
             .map_err(|e| e.to_string())?
-            .prepare()
-            .map_err(|e| e.to_string())
+            .prepare_with(|source, opts| {
+                scope.front(source, opts, || {
+                    self.report.lock().expect("report poisoned").fronts += 1;
+                })
+            })
+            .map_err(|e| e.to_string())?;
+        let stats = prepared.stats().clone();
+        Ok((scope.program(prepared), stats))
     }
 
-    /// Simulates `cell`'s machine from its group's compile, then runs
-    /// the conformance suite when `verify` is set.
+    /// Finishes `cell` from its compile key's program and statistics:
+    /// the program's simulation on the cell's machine, then, with an
+    /// `audit`, the per-cell half of the conformance suite.
     fn execute(
         &self,
         cell: &ExperimentCell,
-        prepared: &Prepared,
-        source: &SourceProgram,
-        verify: bool,
+        program: &SharedProgram,
+        stats: &CompileStats,
+        audit: Option<&CompileAudit>,
     ) -> Result<CellResult, HarnessError> {
-        let run = prepared
-            .run(&MachineSpec::custom(cell.options().sim))
+        let run = program
+            .simulate(cell, || {
+                self.report.lock().expect("report poisoned").simulations += 1;
+            })
             .map_err(|e| HarnessError::Cell {
                 cell: cell.to_string(),
                 msg: e.to_string(),
@@ -613,26 +771,25 @@ impl Engine {
                 msg: "simulator diverged from the reference interpreter".to_string(),
             });
         }
-        if let Some(stats) = run.sample {
+        if let Some(sample) = run.sample {
             let mut r = self.report.lock().expect("report poisoned");
-            r.sample_intervals += stats.intervals;
-            r.sample_clusters += stats.clusters;
-            r.sampled_insts += stats.sampled_insts;
-            r.sample_total_insts += stats.total_insts;
+            r.sample_intervals += sample.intervals;
+            r.sample_clusters += sample.clusters;
+            r.sampled_insts += sample.sampled_insts;
+            r.sample_total_insts += sample.total_insts;
         }
-        if run.compile.exact.regions > 0 {
+        if stats.exact.regions > 0 {
             let mut r = self.report.lock().expect("report poisoned");
-            r.exact.merge(&run.compile.exact);
+            r.exact.merge(&stats.exact);
         }
-        let verified = if verify {
+        let verified = if let Some(audit) = audit {
             // A sampled cell's estimates cannot be judged against exact
             // metamorphic identities; its suite instead replays the cell
             // exactly and bounds the estimation error.
+            let machine = cell.options().sim;
             let v = match self.config.sim_mode {
-                SimMode::Exact => bsched_verify::verify_cell(source, cell.options(), &run.metrics),
-                SimMode::Sampled(s) => {
-                    bsched_verify::verify_cell_sampled(source, cell.options(), s)
-                }
+                SimMode::Exact => audit.verify_cell(machine, &run.metrics),
+                SimMode::Sampled(s) => audit.verify_cell_sampled(machine, s),
             };
             if !v.is_clean() {
                 let mut r = self.report.lock().expect("report poisoned");

@@ -11,7 +11,11 @@
 //! 1. **Enumeration & deduplication** — [`ExperimentCell`] derives a
 //!    canonical, version-stamped key ([`cell::CACHE_SCHEMA_VERSION`])
 //!    from every result-affecting field of the cell; equal cells are
-//!    executed once, no matter how many tables request them.
+//!    executed once, no matter how many tables request them. Below the
+//!    cell, a batch shares work within each kernel: one compile per
+//!    compile key (the cell minus its machine), one front end per
+//!    front key, and one simulation per distinct compiled program and
+//!    machine.
 //! 2. **Parallel execution** — a std-only work-stealing pool
 //!    ([`pool`]): shared injector + per-worker deques, sized by
 //!    `std::thread::available_parallelism()` and overridable with

@@ -78,9 +78,16 @@ pub struct RunReport {
     pub pool_wall: Duration,
     /// Successful steals across batches.
     pub steals: u64,
+    /// Front ends computed for executed cells: one per distinct
+    /// (kernel, [`bsched_pipeline::FrontOptions`]) among each batch's
+    /// cache misses.
+    pub fronts: u64,
     /// Compiles run for executed cells: one per distinct compile key
     /// (the cell minus its machine) among each batch's cache misses.
     pub compiles: u64,
+    /// Simulations run for executed cells: one per distinct compiled
+    /// program and machine of a kernel among each batch's cache misses.
+    pub simulations: u64,
     /// Source programs run on the reference interpreter to obtain their
     /// reference checksum: at most one per kernel, however many of its
     /// cells executed.
@@ -186,13 +193,15 @@ impl RunReport {
             let _ = writeln!(
                 s,
                 "pool: {} workers, {:.3}s wall, {:.3}s busy ({:.0}% utilization), {} steals, \
-                 {} compiles, {} reference runs",
+                 {} fronts, {} compiles, {} simulations, {} reference runs",
                 self.workers,
                 self.pool_wall.as_secs_f64(),
                 total_busy.as_secs_f64(),
                 self.utilization() * 100.0,
                 self.steals,
+                self.fronts,
                 self.compiles,
+                self.simulations,
                 self.reference_runs
             );
             let (hits, misses, entries) = bsched_ir::analysis::cache_stats();

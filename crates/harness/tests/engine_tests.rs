@@ -6,6 +6,7 @@ use bsched_harness::{Engine, EngineConfig, ExperimentCell, HarnessError};
 use bsched_ir::{BlockId, Program, Terminator};
 use bsched_pipeline::{standard_grid, CompileOptions, Experiment, MachineSpec, SchedulerKind};
 use bsched_sim::SimConfig;
+use bsched_util::Prng;
 use bsched_workloads::lang::ast::{Expr, Index};
 use bsched_workloads::lang::{ArrayInit, Kernel};
 use std::path::PathBuf;
@@ -339,11 +340,14 @@ fn each_compile_key_compiles_once_and_every_machine_matches_a_standalone_run() {
         engine.run(&cells).expect("zoo runs");
         let report = engine.report();
         assert_eq!(report.executed, 18, "{jobs} workers");
+        assert_eq!(report.fronts, 1, "{jobs} workers");
         assert_eq!(report.compiles, 3, "{jobs} workers");
-        assert!(
-            report.render().contains(", 3 compiles, 1 reference runs\n"),
-            "{jobs} workers"
+        assert!(report.simulations <= 18, "{jobs} workers");
+        let counts = format!(
+            ", 1 fronts, 3 compiles, {} simulations, 1 reference runs\n",
+            report.simulations
         );
+        assert!(report.render().contains(&counts), "{jobs} workers");
         for (cell, want) in cells.iter().zip(&standalone) {
             let got = engine.result(cell).expect("cell was run");
             assert_eq!(
@@ -427,4 +431,71 @@ fn a_failed_compile_is_reported_at_its_groups_first_cell() {
         // Timings stop at the reported cell, as results do.
         assert_eq!(report.cell_timings.len(), 2, "{jobs} workers");
     }
+}
+
+/// Within a kernel, the harness shares front ends and simulations: over
+/// the 15 grid configurations on two machines, requested in shuffled
+/// order, each distinct front end, compile key and (program, machine)
+/// pair is computed exactly once at any worker count, and every cell
+/// still equals a standalone `Session::run`.
+#[test]
+fn fronts_compiles_and_simulations_each_run_once_per_distinct_input() {
+    let (_, program) = tiny_kernel("alpha", 48, 3);
+    let machines = [MachineSpec::alpha21164(), MachineSpec::named("wide4").unwrap()];
+    let mut cells = Vec::new();
+    for machine in &machines {
+        for cfg in standard_grid() {
+            let opts = cfg.options().with_sim(machine.config());
+            cells.push(ExperimentCell::new("alpha", opts));
+        }
+    }
+    let mut rng = Prng::new(0x5EED_F00D);
+    for i in (1..cells.len()).rev() {
+        cells.swap(i, rng.index(i + 1));
+    }
+    let session = |cell: &ExperimentCell| {
+        Experiment::builder()
+            .program("alpha", program.clone())
+            .compile_options(*cell.options())
+            .build()
+            .unwrap()
+    };
+    // The counts an exactly-once harness must report, found without it.
+    let mut fronts = Vec::new();
+    let mut programs: Vec<Program> = Vec::new();
+    for cfg in standard_grid() {
+        let cell = ExperimentCell::new("alpha", cfg.options());
+        if !fronts.contains(&cell.options().front()) {
+            fronts.push(cell.options().front());
+        }
+        let compiled = session(&cell).prepare().unwrap();
+        if !programs.contains(compiled.program()) {
+            programs.push(compiled.program().clone());
+        }
+    }
+    let simulations = (programs.len() * machines.len()) as u64;
+    assert_eq!(fronts.len(), 6);
+    assert!(simulations < cells.len() as u64, "some programs repeat");
+    let standalone: Vec<_> = cells.iter().map(|c| session(c).run().unwrap()).collect();
+
+    let mut counts = Vec::new();
+    for jobs in [1usize, 2] {
+        let cfg = EngineConfig::default()
+            .with_jobs(jobs)
+            .with_disk_cache(false);
+        let engine = Engine::new(kernels(), cfg);
+        engine.run(&cells).expect("grid runs");
+        let report = engine.report();
+        assert_eq!(report.executed, 30, "{jobs} workers");
+        assert_eq!(report.fronts, fronts.len() as u64, "{jobs} workers");
+        assert_eq!(report.compiles, 15, "{jobs} workers");
+        assert_eq!(report.simulations, simulations, "{jobs} workers");
+        counts.push((report.fronts, report.compiles, report.simulations));
+        for (cell, want) in cells.iter().zip(&standalone) {
+            let got = engine.result(cell).expect("cell was run");
+            assert!(got.checksum_ok);
+            assert_eq!(got.metrics, want.metrics, "{jobs} workers: {cell}");
+        }
+    }
+    assert_eq!(counts[0], counts[1]);
 }

@@ -72,6 +72,12 @@ impl CountedLoop {
 /// The frontend inlines every procedure call, so a compiled
 /// [`crate::Program`] contains exactly one function (see DESIGN.md for the
 /// rationale); the type still supports arbitrary CFGs.
+///
+/// Equality compares what executes: the name, the blocks (instructions
+/// and terminators), the entry block and the register counts. Loop
+/// metadata is not compared; it guides the loop optimizations, but
+/// neither the interpreter nor the simulators read it, so functions
+/// that differ only there run identically.
 #[derive(Debug, Clone)]
 pub struct Function {
     name: String,
@@ -80,6 +86,15 @@ pub struct Function {
     next_vreg: [u32; 2],
     /// Counted-loop metadata, outermost-first within each nest.
     pub loops: Vec<CountedLoop>,
+}
+
+impl PartialEq for Function {
+    fn eq(&self, other: &Self) -> bool {
+        self.entry == other.entry
+            && self.next_vreg == other.next_vreg
+            && self.name == other.name
+            && self.blocks == other.blocks
+    }
 }
 
 impl Function {

@@ -49,7 +49,10 @@ const MAX_SRCS: usize = 3;
 /// stores may carry an immediate ([`Inst::imm`]): for ALU ops it replaces
 /// the second register source, for memory ops it is the Alpha-style
 /// displacement off the base register.
-#[derive(Clone, PartialEq)]
+///
+/// Equality is field by field, with the float immediate compared by bit
+/// pattern: `fli 0.0` and `fli -0.0` load different values.
+#[derive(Clone)]
 pub struct Inst {
     /// The opcode.
     pub op: Op,
@@ -271,6 +274,19 @@ impl Inst {
     #[must_use]
     pub fn pressure_delta(&self) -> i32 {
         self.nsrcs as i32 - i32::from(self.dst.is_some())
+    }
+}
+
+impl PartialEq for Inst {
+    fn eq(&self, other: &Self) -> bool {
+        self.op == other.op
+            && self.dst == other.dst
+            && self.srcs() == other.srcs()
+            && self.imm == other.imm
+            && self.fimm.to_bits() == other.fimm.to_bits()
+            && self.mem == other.mem
+            && self.hint == other.hint
+            && self.spill == other.spill
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::func::Function;
 use std::fmt;
+use std::sync::Arc;
 
 /// Cache-line size used for region alignment (Alpha 21164 first-level
 /// cache: 32-byte lines; paper §3.3 "we align the arrays on cache-line
@@ -36,11 +37,15 @@ impl fmt::Debug for RegionId {
 ///
 /// Regions are laid out sequentially, each aligned to [`LINE_ALIGN`];
 /// [`crate::Op::LdAddr`] materialises a region's base address.
+///
+/// The initial bytes are shared, never copied: no pass rewrites them,
+/// so every clone of a program (each compile starts from one) points
+/// at the kernel's one copy of its data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     name: String,
     size: u64,
-    init: Vec<u8>,
+    init: Arc<[u8]>,
     observable: bool,
 }
 
@@ -51,7 +56,7 @@ impl Region {
         Region {
             name: name.into(),
             size,
-            init: Vec::new(),
+            init: Arc::from([]),
             observable: true,
         }
     }
@@ -75,30 +80,26 @@ impl Region {
     /// Creates a region initialised from 64-bit float values.
     #[must_use]
     pub fn from_f64s(name: impl Into<String>, values: &[f64]) -> Self {
-        let mut init = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            init.extend_from_slice(&v.to_le_bytes());
-        }
-        let size = init.len() as u64;
-        Region {
-            name: name.into(),
-            size,
-            init,
-            observable: true,
-        }
+        Region::from_words(name, values.iter().map(|v| v.to_le_bytes()))
     }
 
     /// Creates a region initialised from 64-bit integer values.
     #[must_use]
     pub fn from_i64s(name: impl Into<String>, values: &[i64]) -> Self {
-        let mut init = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            init.extend_from_slice(&v.to_le_bytes());
+        Region::from_words(name, values.iter().map(|v| v.to_le_bytes()))
+    }
+
+    /// A region holding `words` in order, written straight into the
+    /// shared buffer: one allocation, no copy.
+    fn from_words(name: impl Into<String>, words: impl ExactSizeIterator<Item = [u8; 8]>) -> Self {
+        let mut init: Arc<[u8]> = std::iter::repeat_n(0, words.len() * 8).collect();
+        let bytes = Arc::get_mut(&mut init).expect("a fresh buffer is unique");
+        for (slot, word) in bytes.chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word);
         }
-        let size = init.len() as u64;
         Region {
             name: name.into(),
-            size,
+            size: init.len() as u64,
             init,
             observable: true,
         }
@@ -125,7 +126,12 @@ impl Region {
 
 /// A whole program: one (fully inlined) main function and its memory
 /// regions.
-#[derive(Debug, Clone)]
+///
+/// Two programs are equal when they execute identically: same name,
+/// same regions (initial bytes included) and equal main functions (see
+/// [`Function`]'s equality, which ignores loop metadata). The harness
+/// relies on this to simulate each distinct compiled program once.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     name: String,
     regions: Vec<Region>,
@@ -229,6 +235,95 @@ mod tests {
         assert!(bases[1] >= bases[0] + 40);
         assert!(p.memory_size() >= bases[1] + 8);
         assert!(bases[0] >= LINE_ALIGN, "address 0 is reserved");
+    }
+
+    #[test]
+    fn clones_share_initial_bytes() {
+        let mut p = Program::new("t");
+        p.push_region(Region::from_i64s("x", &[1, 2, 3]));
+        let q = p.clone();
+        assert_eq!(q.regions()[0].init(), p.regions()[0].init());
+        assert!(std::ptr::eq(q.regions()[0].init(), p.regions()[0].init()));
+    }
+
+    /// `a[0..4] = a[i] * 2` as a counted loop, with an `li` whose
+    /// immediate, a load hint and a spill flag the tests can vary.
+    fn looping(init: &[i64]) -> Program {
+        use crate::func::{Bound, CountedLoop};
+        use crate::{BrCond, FuncBuilder, Inst, Op, RegClass};
+        let mut p = Program::new("eq");
+        let a = p.push_region(Region::from_i64s("a", init));
+        let mut b = FuncBuilder::new("main");
+        let preheader = b.current_block();
+        let base = b.load_region_addr(a);
+        let two = b.iconst(2);
+        let i = b.iconst(0);
+        let (header, body, exit) = (b.add_block(), b.add_block(), b.add_block());
+        b.jmp(header);
+        b.switch_to(header);
+        let t = b.binop_imm(Op::CmpLt, i, 4);
+        b.br(t, BrCond::Zero, exit, body);
+        b.switch_to(body);
+        let off = b.binop_imm(Op::Shl, i, 3);
+        let addr = b.binop(Op::Add, base, off);
+        let v = b.load_i(addr, 0).with_region(a).emit(&mut b);
+        let w = b.binop(Op::Mul, v, two);
+        b.store(w, addr, 0).with_region(a).emit(&mut b);
+        let next = b.new_reg(RegClass::Int);
+        b.push(Inst::op_imm(Op::Add, next, i, 1));
+        b.push(Inst::copy(i, next));
+        b.jmp(header);
+        b.switch_to(exit);
+        b.ret();
+        let mut main = b.finish();
+        main.loops.push(CountedLoop {
+            header,
+            body: vec![],
+            latch: body,
+            exit,
+            preheader,
+            counter: i,
+            step: 1,
+            bound: Bound::Imm(4),
+            parent: None,
+        });
+        p.set_main(main);
+        p
+    }
+
+    fn edit(p: &Program, f: impl FnOnce(&mut crate::Inst)) -> Program {
+        let mut q = p.clone();
+        let block = q.main().entry();
+        let inst = q.main_mut().block_mut(block).insts.last_mut().unwrap();
+        f(inst);
+        q
+    }
+
+    #[test]
+    fn programs_differing_only_in_loop_metadata_are_equal() {
+        let p = looping(&[1, 2, 3, 4]);
+        crate::verify_program(&p).unwrap();
+        let mut q = p.clone();
+        q.main_mut().loops.clear();
+        assert!(p == q, "loop metadata is not executed");
+        assert!(p == looping(&[1, 2, 3, 4]), "independently built");
+    }
+
+    #[test]
+    fn programs_differing_in_what_executes_are_not_equal() {
+        use crate::LocalityHint;
+        let p = looping(&[1, 2, 3, 4]);
+        assert!(p != edit(&p, |i| i.imm = Some(1)), "one immediate");
+        assert!(p != edit(&p, |i| i.spill = true), "one spill flag");
+        assert!(p != looping(&[1, 2, 3, 5]), "one initial byte");
+        let mut q = p.clone();
+        let body = &mut q.main_mut().block_mut(crate::BlockId::new(2)).insts;
+        let load = body.iter_mut().find(|i| i.op.is_load()).expect("body loads");
+        load.hint = LocalityHint::Hit;
+        assert!(p != q, "one hint");
+        let f = crate::Reg::virt(crate::RegClass::Float, 0);
+        let (zero, negzero) = (crate::Inst::fli(f, 0.0), crate::Inst::fli(f, -0.0));
+        assert!(zero != negzero, "float immediates compare by bits");
     }
 
     #[test]

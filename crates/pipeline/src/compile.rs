@@ -12,6 +12,7 @@ use bsched_opt::{
 use bsched_regalloc::{allocate, AllocStats};
 use bsched_util::FastHashSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Pipeline failures.
 #[derive(Debug, Clone)]
@@ -102,20 +103,17 @@ pub fn compile(source: &Program, opts: &CompileOptions) -> Result<Compiled, Pipe
     compile_impl(&SourceProgram::new(source.clone()), opts)
 }
 
-/// The phase-order implementation behind [`compile`] and
-/// [`crate::Session::compile`]: the source's (memoized) reference
-/// checksum, the passes, and a final run of the compiled program on the
-/// reference interpreter, whose checksum must equal the reference.
-/// Compiling without simulating leaves the interpreter as the only
-/// executor that can check the compiled code; [`crate::Session::run`]
-/// uses the simulator's checksum instead.
+/// The compile behind [`compile`] and [`crate::Session::compile`]: the
+/// phase order on a front end of its own, then a run of the compiled
+/// program on the reference interpreter, whose checksum must equal the
+/// source's (memoized) reference. Compiling without simulating leaves
+/// the interpreter as the only executor that can check the compiled
+/// code; [`crate::Session::run`] uses the simulator's checksum instead.
 pub(crate) fn compile_impl(
     source: &SourceProgram,
     opts: &CompileOptions,
 ) -> Result<Compiled, PipelineError> {
-    let reference = source.reference()?;
-    let mut sink = None;
-    compile_inner(source.program(), opts, Some(reference), false, &mut sink)
+    Ok(compile_with(source, opts, own_front, true, false)?.0)
 }
 
 /// [`compile_impl`] that also returns the basic-block scheduling audit
@@ -124,22 +122,16 @@ pub(crate) fn compile_audited_impl(
     source: &SourceProgram,
     opts: &CompileOptions,
 ) -> Result<(Compiled, ScheduleAudit), PipelineError> {
-    let reference = source.reference()?;
-    let mut sink = None;
-    let compiled = compile_inner(source.program(), opts, Some(reference), true, &mut sink)?;
-    Ok((compiled, sink.expect("audited compile records an audit")))
+    let (compiled, audit) = compile_with(source, opts, own_front, true, true)?;
+    Ok((compiled, audit.expect("audited compile records an audit")))
 }
 
-/// The phase order without the post-compile interpreter check, for
-/// callers that execute the compiled program themselves and compare its
-/// checksum to the reference (see [`crate::run`]). `source` must have
-/// passed the IR verifier, as [`SourceProgram::reference`] ensures.
-pub(crate) fn compile_unchecked(
-    source: &Program,
+/// A front end computed for one compile alone.
+pub(crate) fn own_front(
+    source: &SourceProgram,
     opts: &CompileOptions,
-) -> Result<Compiled, PipelineError> {
-    let mut sink = None;
-    compile_inner(source, opts, None, false, &mut sink)
+) -> Result<Arc<FrontEnd>, PipelineError> {
+    FrontEnd::new(source, opts).map(Arc::new)
 }
 
 /// Runs one pass under a `pipeline.pass` span recording before/after
@@ -162,110 +154,197 @@ fn traced_pass<R>(
     result
 }
 
-/// The phase order on a verified `source`. With `reference` set, the
-/// compiled program is run on the reference interpreter and must
-/// reproduce that checksum.
-fn compile_inner(
-    source: &Program,
+/// The one phase order: the source's reference, then `front` (which
+/// either runs [`FrontEnd::new`] or hands out a front end shared with
+/// other compiles of the same source), then [`back_end`], all under one
+/// `pipeline.compile` span. With `check` set, the compiled program is
+/// run on the reference interpreter and must reproduce the reference;
+/// with `audited` set, the scheduling audit is returned too.
+pub(crate) fn compile_with(
+    source: &SourceProgram,
     opts: &CompileOptions,
-    reference: Option<u64>,
+    front: impl FnOnce(&SourceProgram, &CompileOptions) -> Result<Arc<FrontEnd>, PipelineError>,
+    check: bool,
     audited: bool,
-    sink: &mut Option<ScheduleAudit>,
-) -> Result<Compiled, PipelineError> {
+) -> Result<(Compiled, Option<ScheduleAudit>), PipelineError> {
+    let reference = source.reference()?;
+    let program = source.program();
     let mut compile_span = bsched_trace::span(bsched_trace::points::PIPELINE_COMPILE)
-        .label_with(|| source.name().to_string());
+        .label_with(|| program.name().to_string());
     if compile_span.is_live() {
-        compile_span = compile_span.arg("before", source.main().inst_count() as u64);
+        compile_span = compile_span.arg("before", program.main().inst_count() as u64);
     }
-
-    let mut p = source.clone();
-    let mut stats = CompileStats::default();
-
-    // 1. Predication.
-    if opts.predicate {
-        stats.predicated = traced_pass("predicate", &mut p, |p| predicate_function(p.main_mut()));
-    }
-
-    // 1b. Local CSE before the loop transforms, so the unrolling size
-    // limits judge bodies the way Multiflow's optimizer would have left
-    // them (repeated address chains and loads deduplicated).
-    traced_pass("cleanup_pre", &mut p, |p| {
-        local_cse(p.main_mut());
-        copy_propagate(p.main_mut());
-        stats.dce_removed += dead_code_elim(p.main_mut());
-    });
-
-    // 2. Locality analysis (peels/unrolls/marks loops with reuse).
-    let mut consumed: FastHashSet<usize> = FastHashSet::default();
-    if opts.locality {
-        let lopts = LocalityOptions {
-            factor: opts.unroll,
-            max_body_insts: 128,
-        };
-        stats.locality = traced_pass("locality", &mut p, |p| apply_locality(p.main_mut(), &lopts));
-        consumed.extend(stats.locality.loops_processed.iter().copied());
-    }
-
-    // 3. Generic unrolling of the remaining innermost loops. When the
-    // requested factor busts the size budget, fall back to smaller
-    // factors under the same budget — the Multiflow behaviour behind the
-    // paper's swm256 footnote ("the 64 instruction limit on unrolling by
-    // 4 prevented swm256 from being fully unrolled; the higher limit with
-    // an unrolling factor of 8 allowed more unrolling").
-    if let Some(factor) = opts.unroll {
-        let budget = opts
-            .unroll_budget
-            .unwrap_or(UnrollLimits::for_factor(factor).max_body_insts);
-        traced_pass("unroll", &mut p, |p| {
-            for idx in p.main().innermost_loops() {
-                if consumed.contains(&idx) {
-                    continue;
-                }
-                let mut f = factor;
-                while f >= 2 {
-                    let limits = UnrollLimits {
-                        factor: f,
-                        max_body_insts: budget,
-                    };
-                    if unroll_loop(p.main_mut(), idx, &limits).is_some() {
-                        stats.unrolled_loops += 1;
-                        break;
-                    }
-                    f /= 2;
-                }
-            }
+    let front = front(source, opts)?;
+    let (compiled, audit) = back_end(&front, opts, audited)?;
+    if check && Interp::new(&compiled.program).run()?.checksum != reference {
+        return Err(PipelineError::ChecksumMismatch {
+            stage: "full pipeline",
         });
     }
+    compile_span.finish(&[("after", compiled.stats.static_insts as u64)]);
+    Ok((compiled, audit))
+}
 
-    // 4. Cleanup (unrolled copies re-expose common subexpressions).
-    traced_pass("cleanup_post", &mut p, |p| {
-        local_cse(p.main_mut());
-        copy_propagate(p.main_mut());
-        stats.dce_removed += dead_code_elim(p.main_mut());
-        merge_straight_chains(p.main_mut());
-    });
-    bsched_ir::verify_program(&p)?;
+/// The scheduler-independent front end of a compile: the source after
+/// predication, cleanup, locality analysis, unrolling and cleanup
+/// again, verified, with the statistics of those passes. It depends
+/// only on the source and [`CompileOptions::front`], so every compile
+/// of a source with equal front options can start from one front end
+/// (the harness shares them within a batch). The edge profile that
+/// trace scheduling reads is part of it too, collected by the first
+/// compile that asks for it.
+#[derive(Debug)]
+pub struct FrontEnd {
+    program: Program,
+    stats: CompileStats,
+    profile: OnceLock<Result<EdgeProfile, PipelineError>>,
+}
+
+impl FrontEnd {
+    /// Runs the front-end passes on a copy of `source` under
+    /// `opts.front()`; no other field of `opts` is read.
+    ///
+    /// # Errors
+    ///
+    /// The source's reference error when it fails to verify or to run,
+    /// and [`PipelineError::Verify`] when the passes leave invalid IR.
+    pub fn new(source: &SourceProgram, opts: &CompileOptions) -> Result<FrontEnd, PipelineError> {
+        // The passes assume verified IR; the reference verifies the
+        // source once per handle.
+        source.reference()?;
+        let front = opts.front();
+        let mut p = source.program().clone();
+        let mut stats = CompileStats::default();
+
+        // 1. Predication.
+        if front.predicate {
+            stats.predicated =
+                traced_pass("predicate", &mut p, |p| predicate_function(p.main_mut()));
+        }
+
+        // 1b. Local CSE before the loop transforms, so the unrolling size
+        // limits judge bodies the way Multiflow's optimizer would have
+        // left them (repeated address chains and loads deduplicated).
+        traced_pass("cleanup_pre", &mut p, |p| {
+            local_cse(p.main_mut());
+            copy_propagate(p.main_mut());
+            stats.dce_removed += dead_code_elim(p.main_mut());
+        });
+
+        // 2. Locality analysis (peels/unrolls/marks loops with reuse).
+        let mut consumed: FastHashSet<usize> = FastHashSet::default();
+        if front.locality {
+            let lopts = LocalityOptions {
+                factor: front.unroll,
+                max_body_insts: 128,
+            };
+            stats.locality =
+                traced_pass("locality", &mut p, |p| apply_locality(p.main_mut(), &lopts));
+            consumed.extend(stats.locality.loops_processed.iter().copied());
+        }
+
+        // 3. Generic unrolling of the remaining innermost loops. When the
+        // requested factor busts the size budget, fall back to smaller
+        // factors under the same budget — the Multiflow behaviour behind
+        // the paper's swm256 footnote ("the 64 instruction limit on
+        // unrolling by 4 prevented swm256 from being fully unrolled; the
+        // higher limit with an unrolling factor of 8 allowed more
+        // unrolling").
+        if let Some(factor) = front.unroll {
+            let budget = front
+                .unroll_budget
+                .unwrap_or(UnrollLimits::for_factor(factor).max_body_insts);
+            traced_pass("unroll", &mut p, |p| {
+                for idx in p.main().innermost_loops() {
+                    if consumed.contains(&idx) {
+                        continue;
+                    }
+                    let mut f = factor;
+                    while f >= 2 {
+                        let limits = UnrollLimits {
+                            factor: f,
+                            max_body_insts: budget,
+                        };
+                        if unroll_loop(p.main_mut(), idx, &limits).is_some() {
+                            stats.unrolled_loops += 1;
+                            break;
+                        }
+                        f /= 2;
+                    }
+                }
+            });
+        }
+
+        // 4. Cleanup (unrolled copies re-expose common subexpressions).
+        traced_pass("cleanup_post", &mut p, |p| {
+            local_cse(p.main_mut());
+            copy_propagate(p.main_mut());
+            stats.dce_removed += dead_code_elim(p.main_mut());
+            merge_straight_chains(p.main_mut());
+        });
+        bsched_ir::verify_program(&p)?;
+        Ok(FrontEnd {
+            program: p,
+            stats,
+            profile: OnceLock::new(),
+        })
+    }
+
+    /// The program the back end starts from.
+    #[must_use]
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// The front-end passes' statistics: predication, locality,
+    /// unrolling and dead-code counts; every other field is zero.
+    #[must_use]
+    pub fn stats(&self) -> &CompileStats {
+        &self.stats
+    }
+
+    /// The edge profile of [`FrontEnd::program`], collected on first use.
+    fn profile(&self) -> Result<&EdgeProfile, PipelineError> {
+        self.profile
+            .get_or_init(|| Ok(EdgeProfile::collect(&self.program)?))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+}
+
+/// The back end on a copy of `front`: trace scheduling (when
+/// `opts.trace`), basic-block scheduling, register allocation and a
+/// final verification. With `audited` set, the scheduler records its
+/// audit.
+fn back_end(
+    front: &FrontEnd,
+    opts: &CompileOptions,
+    audited: bool,
+) -> Result<(Compiled, Option<ScheduleAudit>), PipelineError> {
+    let mut p = front.program.clone();
+    let mut stats = front.stats.clone();
 
     // 5. Trace scheduling, guided by a profile of the transformed code.
     if opts.trace {
-        let profile = EdgeProfile::collect(&p)?;
+        let profile = front.profile()?;
         let topts = TraceOptions {
             weights: opts.weight_config(),
             speculation: true,
         };
         traced_pass("trace_schedule", &mut p, |p| {
-            stats.trace = trace_schedule(p.main_mut(), &profile, &topts);
+            stats.trace = trace_schedule(p.main_mut(), profile, &topts);
             stats.dce_removed += dead_code_elim(p.main_mut());
         });
         bsched_ir::verify_program(&p)?;
     }
 
     // 6. Basic-block scheduling.
+    let mut audit = None;
     traced_pass("schedule", &mut p, |p| {
         if audited {
-            let audit = schedule_function_audited(p.main_mut(), &opts.weight_config(), opts.tie_break);
-            stats.exact = audit.exact;
-            *sink = Some(audit);
+            let a = schedule_function_audited(p.main_mut(), &opts.weight_config(), opts.tie_break);
+            stats.exact = a.exact;
+            audit = Some(a);
         } else {
             stats.exact =
                 schedule_function_stats(p.main_mut(), &opts.weight_config(), opts.tie_break);
@@ -276,17 +355,7 @@ fn compile_inner(
     stats.alloc = traced_pass("regalloc", &mut p, allocate);
     bsched_ir::verify_program(&p)?;
     stats.static_insts = p.main().inst_count();
-
-    // 8. Semantic cross-check against the reference interpreter.
-    if let Some(reference) = reference {
-        if Interp::new(&p).run()?.checksum != reference {
-            return Err(PipelineError::ChecksumMismatch {
-                stage: "full pipeline",
-            });
-        }
-    }
-    compile_span.finish(&[("after", stats.static_insts as u64)]);
-    Ok(Compiled { program: p, stats })
+    Ok((Compiled { program: p, stats }, audit))
 }
 
 #[cfg(test)]

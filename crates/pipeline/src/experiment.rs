@@ -32,7 +32,7 @@
 //! `Runner` memoizer remain as `#[deprecated]` shims over the same
 //! implementation.
 
-use crate::compile::{compile_impl, Compiled, PipelineError};
+use crate::compile::{compile_impl, Compiled, FrontEnd, PipelineError};
 use crate::experiments::ConfigKind;
 use crate::options::CompileOptions;
 use crate::run::{Prepared, RunResult};
@@ -40,6 +40,7 @@ use crate::source::SourceProgram;
 use bsched_core::{SchedulerKind, TieBreak};
 use bsched_ir::Program;
 use bsched_sim::{MachineSpec, SimConfig, SimEngine, SimMode};
+use std::sync::Arc;
 
 /// A named optimization level: the ILP-increasing transformation sets
 /// evaluated in the paper, with the paper's unroll factors baked in.
@@ -505,9 +506,29 @@ impl Session {
     /// Propagates [`PipelineError`]s from the reference and from
     /// compilation.
     pub fn prepare(&self) -> Result<Prepared, PipelineError> {
+        self.prepare_with(crate::compile::own_front)
+    }
+
+    /// [`Session::prepare`] with the front end supplied by `front`,
+    /// called once with this session's source and options. `front`
+    /// may compute it ([`FrontEnd::new`]) or return one it already
+    /// holds for the same source and [`CompileOptions::front`]; the
+    /// harness shares front ends between the compile keys of a kernel
+    /// this way. The call happens inside the compile's
+    /// `pipeline.compile` span.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PipelineError`]s from the reference, from `front`
+    /// and from compilation.
+    pub fn prepare_with(
+        &self,
+        front: impl FnOnce(&SourceProgram, &CompileOptions) -> Result<Arc<FrontEnd>, PipelineError>,
+    ) -> Result<Prepared, PipelineError> {
         Prepared::new(
             &self.program,
             &self.options,
+            front,
             self.engine,
             self.sim_mode,
             self.trace,

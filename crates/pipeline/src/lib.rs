@@ -11,7 +11,10 @@
 //! 6. basic-block list scheduling with traditional or balanced weights,
 //! 7. graph-coloring register allocation with spill insertion —
 //!
-//! and then executed on the Alpha 21164-like timing simulator. Every
+//! and then executed on the Alpha 21164-like timing simulator. Steps
+//! 1–4 are the front end ([`FrontEnd`]): they read no scheduler option,
+//! so the compiles of one source with equal [`FrontOptions`] can share
+//! one ([`Session::prepare_with`]). Steps 5–7 are the back end. Every
 //! compiled configuration is cross-checked against the reference
 //! interpreter: the observable memory checksum must match the unoptimized
 //! program's. That reference is computed once per [`SourceProgram`] and
@@ -61,7 +64,7 @@ pub mod table;
 pub use bsched_core::{SchedulerKind, TieBreak};
 #[allow(deprecated)]
 pub use compile::compile;
-pub use compile::{CompileStats, Compiled, PipelineError};
+pub use compile::{CompileStats, Compiled, FrontEnd, PipelineError};
 pub use experiment::{
     resolve_kernel, Experiment, ExperimentBuilder, ExperimentError, OptLevel, Session,
 };
@@ -69,9 +72,9 @@ pub use experiment::{
 pub use experiments::Runner;
 pub use experiments::{standard_grid, ConfigKind, ExperimentConfig};
 pub use bsched_sim::{MachineInfo, MachineSpec, PredictorKind, SampleConfig, SampleStats, SimEngine, SimMode};
-pub use options::CompileOptions;
+pub use options::{CompileOptions, FrontOptions};
 #[allow(deprecated)]
 pub use run::compile_and_run;
-pub use run::{Prepared, RunResult};
+pub use run::{Prepared, RunResult, Simulation};
 pub use source::SourceProgram;
 pub use table::Table;

@@ -3,6 +3,21 @@
 use bsched_core::{SchedulerKind, TieBreak, WeightConfig};
 use bsched_sim::SimConfig;
 
+/// The fields of [`CompileOptions`] that the scheduler-independent
+/// front end reads (predicate → cleanup → locality → unroll → cleanup):
+/// compiles with equal front options of one source share a front end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FrontOptions {
+    /// Predication of simple conditionals.
+    pub predicate: bool,
+    /// Locality analysis.
+    pub locality: bool,
+    /// Loop-unrolling factor.
+    pub unroll: Option<u32>,
+    /// Override for the unrolled-body instruction budget.
+    pub unroll_budget: Option<usize>,
+}
+
 /// One point in the paper's experiment space.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileOptions {
@@ -141,6 +156,18 @@ impl CompileOptions {
     pub fn with_exact_budget(mut self, budget: u64) -> Self {
         self.exact_budget = budget;
         self
+    }
+
+    /// The front-end part of these options: what decides the program
+    /// the scheduler starts from.
+    #[must_use]
+    pub fn front(&self) -> FrontOptions {
+        FrontOptions {
+            predicate: self.predicate,
+            locality: self.locality,
+            unroll: self.unroll,
+            unroll_budget: self.unroll_budget,
+        }
     }
 
     /// The weight policy the scheduler actually runs with: under locality

@@ -1,11 +1,12 @@
 //! Compile-and-simulate entry point: one compile ([`Prepared`]) runs
 //! checked on any number of machines.
 
-use crate::compile::{compile_unchecked, CompileStats, Compiled, PipelineError};
+use crate::compile::{compile_with, own_front, CompileStats, Compiled, FrontEnd, PipelineError};
 use crate::options::CompileOptions;
 use crate::source::SourceProgram;
 use bsched_ir::{Interp, Program};
 use bsched_sim::{MachineSpec, SampleStats, SimEngine, SimMetrics, SimMode, Simulator};
+use std::sync::Arc;
 
 /// The result of one end-to-end run.
 #[derive(Debug, Clone)]
@@ -45,6 +46,7 @@ pub fn compile_and_run(
     Prepared::new(
         &SourceProgram::new(source.clone()),
         opts,
+        own_front,
         SimEngine::default(),
         SimMode::Exact,
         false,
@@ -69,26 +71,67 @@ pub struct Prepared {
     trace: bool,
 }
 
+/// One checked simulation of a [`Prepared`] program on one machine:
+/// what a [`RunResult`] holds apart from the compile statistics.
+#[derive(Debug, Clone)]
+pub struct Simulation {
+    /// Timing metrics (see [`RunResult::metrics`]).
+    pub metrics: SimMetrics,
+    /// Whether the simulator's checksum matched the reference (see
+    /// [`RunResult::checksum_ok`]).
+    pub checksum_ok: bool,
+    /// Sampling summary when the run was sampled.
+    pub sample: Option<SampleStats>,
+}
+
 impl Prepared {
-    /// The source's memoized reference, then the phase order without
-    /// its interpreter check: the simulator's checksum in each
-    /// [`Prepared::run`] stands in for that check.
+    /// The phase order, with its front end from `front` (see
+    /// [`crate::Session::prepare_with`]) and without its interpreter
+    /// check: the simulator's checksum in each [`Prepared::run`] stands
+    /// in for that check.
     pub(crate) fn new(
         source: &SourceProgram,
         opts: &CompileOptions,
+        front: impl FnOnce(&SourceProgram, &CompileOptions) -> Result<Arc<FrontEnd>, PipelineError>,
         engine: SimEngine,
         mode: SimMode,
         trace: bool,
     ) -> Result<Prepared, PipelineError> {
         let _trace = trace.then(bsched_trace::enable_scope);
-        let reference = source.reference()?;
-        let compiled = compile_unchecked(source.program(), opts)?;
+        let (compiled, _) = compile_with(source, opts, front, false, false)?;
         Ok(Prepared {
             compiled,
-            reference,
+            reference: source.reference()?,
             engine,
             mode,
             trace,
+        })
+    }
+
+    /// The compiled program.
+    #[must_use]
+    pub fn program(&self) -> &Program {
+        &self.compiled.program
+    }
+
+    /// The compile's statistics.
+    #[must_use]
+    pub fn stats(&self) -> &CompileStats {
+        &self.compiled.stats
+    }
+
+    /// [`Prepared::simulate`] with this compile's statistics attached.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Prepared::simulate`].
+    pub fn run(&self, machine: &MachineSpec) -> Result<RunResult, PipelineError> {
+        let sim = self.simulate(machine)?;
+        Ok(RunResult {
+            metrics: sim.metrics,
+            compile: self.compiled.stats.clone(),
+            checksum_ok: sim.checksum_ok,
+            sample: sim.sample,
         })
     }
 
@@ -96,13 +139,15 @@ impl Prepared {
     /// simulator's memory checksum with the source's reference. The
     /// compiled program is interpreted only when the two differ, to
     /// tell a miscompile (an error) from a simulator divergence
-    /// ([`RunResult::checksum_ok`] `== false`).
+    /// ([`Simulation::checksum_ok`] `== false`). The outcome depends
+    /// only on the program, the machine and the session's engine and
+    /// mode, so equal programs may share it.
     ///
     /// # Errors
     ///
     /// Propagates [`PipelineError`]s from simulation, and
     /// [`PipelineError::ChecksumMismatch`] on a miscompile.
-    pub fn run(&self, machine: &MachineSpec) -> Result<RunResult, PipelineError> {
+    pub fn simulate(&self, machine: &MachineSpec) -> Result<Simulation, PipelineError> {
         let _trace = self.trace.then(bsched_trace::enable_scope);
         let program = &self.compiled.program;
         let sim = Simulator::for_machine(program, machine)
@@ -112,9 +157,8 @@ impl Prepared {
         let checksum_ok = classify_checksum(sim.checksum, self.reference, || {
             Ok(Interp::new(program).run()?.checksum)
         })?;
-        Ok(RunResult {
+        Ok(Simulation {
             metrics: sim.metrics,
-            compile: self.compiled.stats.clone(),
             checksum_ok,
             sample: sim.sample,
         })

@@ -20,9 +20,10 @@
 //!   loop-language kernels, drives them through the full stack under a
 //!   fuel budget, and shrinks failures to minimal reproducers.
 //!
-//! The harness (`bsched-harness`) calls [`verify_cell`] on every
-//! executed grid cell when verification is requested (`--verify` /
-//! `BSCHED_VERIFY=1`); violations fail the run.
+//! When verification is requested (`--verify` / `BSCHED_VERIFY=1`),
+//! the harness (`bsched-harness`) runs [`audit_compile`] once per
+//! executed compile key and [`CompileAudit::verify_cell`] on each of
+//! its cells; violations fail the run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,8 +47,9 @@ pub use metamorphic::{
     allhit_config, check_allhit_closeness, check_metrics, stall_sum, MetaViolation,
 };
 
+use bsched_ir::Program;
 use bsched_pipeline::{CompileOptions, Experiment, SourceProgram};
-use bsched_sim::{SampleConfig, SimMetrics};
+use bsched_sim::{SampleConfig, SimConfig, SimMetrics};
 
 /// The verdict on one grid cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,25 +69,28 @@ impl CellVerification {
     }
 }
 
-/// Runs the full per-cell conformance suite on one (program × options)
-/// point: recompile with a schedule audit, prove every region's schedule
-/// legal, cross-check the weights against both reference
-/// implementations, replay optimized vs unoptimized code through the
-/// interpreter, simulate the compiled program under both engines (which
-/// must agree bit for bit), and check the metamorphic invariants on
-/// `metrics` (the simulated run the caller already has).
+/// The per-compile-key half of the conformance suite, shared by every
+/// machine the key is simulated on.
+#[derive(Debug)]
+pub struct CompileAudit {
+    /// The audited compile's program; `None` when it failed.
+    program: Option<Program>,
+    regions: usize,
+    violations: Vec<String>,
+}
+
+/// Audits one compile key: recompiles it with a schedule audit, proves
+/// every region's schedule legal, cross-checks the weights against both
+/// reference implementations, and replays optimized vs unoptimized code
+/// through the interpreter. The machine in `options` is not read.
 ///
-/// `source` is the kernel's shared handle, so the audited recompile
-/// reuses its memoized reference checksum;
-/// [`differential::check_checksum`] still interprets both programs
-/// itself, as the independent oracle.
+/// The recompile is standalone: it shares no front end or program with
+/// the run it checks, so the oracle stays independent of the sharing.
+/// `source` is the kernel's shared handle, so it reuses the memoized
+/// reference checksum; [`differential::check_checksum`] still
+/// interprets both programs itself, as the independent oracle.
 #[must_use]
-pub fn verify_cell(
-    source: &SourceProgram,
-    options: &CompileOptions,
-    metrics: &SimMetrics,
-) -> CellVerification {
-    let mut regions = 0;
+pub fn audit_compile(source: &SourceProgram, options: &CompileOptions) -> CompileAudit {
     let mut violations = Vec::new();
     let session = Experiment::builder()
         .program("cell", source.clone())
@@ -94,7 +99,6 @@ pub fn verify_cell(
         .expect("program is supplied directly");
     match session.compile_audited() {
         Ok((compiled, audit)) => {
-            regions = audit.regions.len();
             for (ri, region) in audit.regions.iter().enumerate() {
                 for v in legality::validate_region_schedule(region) {
                     violations.push(format!("region {ri}: {v}"));
@@ -107,93 +111,85 @@ pub fn verify_cell(
                 Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
                 Err(e) => violations.push(format!("interpreter error: {e}")),
             }
-            match differential::check_engines(&compiled.program, options.sim) {
-                Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
-                Err(e) => violations.push(format!("simulator error: {e}")),
+            CompileAudit {
+                program: Some(compiled.program),
+                regions: audit.regions.len(),
+                violations,
             }
         }
-        Err(e) => violations.push(format!("audited recompile failed: {e}")),
-    }
-    violations.extend(
-        metamorphic::check_metrics(metrics)
-            .iter()
-            .map(ToString::to_string),
-    );
-    // Violations carry trace context: one event per message, so a
-    // `--trace-json` export pairs every failure with the pass spans and
-    // load-site attribution recorded around it.
-    if bsched_trace::enabled() {
-        for v in &violations {
-            bsched_trace::instant(
-                bsched_trace::points::VERIFY_VIOLATION,
-                v,
-                &[("regions", regions as u64)],
-            );
+        Err(e) => {
+            violations.push(format!("audited recompile failed: {e}"));
+            CompileAudit {
+                program: None,
+                regions: 0,
+                violations,
+            }
         }
-    }
-    CellVerification {
-        regions,
-        violations,
     }
 }
 
-/// The sampled-mode counterpart of [`verify_cell`]: proves schedule
-/// legality, weights, and the optimized-vs-baseline checksum exactly as
-/// the exact path does, then replaces the engine-bit-identity diff with
-/// the sampling diff ([`check_sampling`]) — exact-by-construction
-/// observables must match bit for bit, estimates must land within the
-/// committed tolerances.
-///
-/// The metamorphic metric checks are deliberately *skipped*: they are
-/// exact-accounting identities (cycle accounting, cache conservation)
-/// that independently-scaled cluster estimates need not satisfy.
-#[must_use]
-pub fn verify_cell_sampled(
-    source: &SourceProgram,
-    options: &CompileOptions,
-    sample: SampleConfig,
-) -> CellVerification {
-    let mut regions = 0;
-    let mut violations = Vec::new();
-    let session = Experiment::builder()
-        .program("cell", source.clone())
-        .compile_options(*options)
-        .build()
-        .expect("program is supplied directly");
-    match session.compile_audited() {
-        Ok((compiled, audit)) => {
-            regions = audit.regions.len();
-            for (ri, region) in audit.regions.iter().enumerate() {
-                for v in legality::validate_region_schedule(region) {
-                    violations.push(format!("region {ri}: {v}"));
-                }
-            }
-            for v in differential::check_weights(&audit) {
-                violations.push(v.to_string());
-            }
-            match differential::check_checksum(session.source(), &compiled.program) {
-                Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
-                Err(e) => violations.push(format!("interpreter error: {e}")),
-            }
-            match differential::check_sampling(&compiled.program, options.sim, sample) {
+impl CompileAudit {
+    /// The per-cell half of the suite on `machine`: the audited program
+    /// simulated under both engines, which must agree bit for bit, and
+    /// the metamorphic invariants on `metrics` (the simulated run the
+    /// caller already has). The verdict carries the key's violations
+    /// first.
+    #[must_use]
+    pub fn verify_cell(&self, machine: SimConfig, metrics: &SimMetrics) -> CellVerification {
+        let mut violations = self.violations.clone();
+        if let Some(program) = &self.program {
+            match differential::check_engines(program, machine) {
                 Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
                 Err(e) => violations.push(format!("simulator error: {e}")),
             }
         }
-        Err(e) => violations.push(format!("audited recompile failed: {e}")),
+        violations.extend(
+            metamorphic::check_metrics(metrics)
+                .iter()
+                .map(ToString::to_string),
+        );
+        self.verdict(violations)
     }
-    if bsched_trace::enabled() {
-        for v in &violations {
-            bsched_trace::instant(
-                bsched_trace::points::VERIFY_VIOLATION,
-                v,
-                &[("regions", regions as u64)],
-            );
+
+    /// The per-cell half in sampled mode: the engine-bit-identity diff
+    /// is replaced by the sampling diff ([`check_sampling`]) —
+    /// exact-by-construction observables must match bit for bit,
+    /// estimates must land within the committed tolerances.
+    ///
+    /// The metamorphic metric checks are deliberately *skipped*: they
+    /// are exact-accounting identities (cycle accounting, cache
+    /// conservation) that independently-scaled cluster estimates need
+    /// not satisfy.
+    #[must_use]
+    pub fn verify_cell_sampled(&self, machine: SimConfig, sample: SampleConfig) -> CellVerification {
+        let mut violations = self.violations.clone();
+        if let Some(program) = &self.program {
+            match differential::check_sampling(program, machine, sample) {
+                Ok(vs) => violations.extend(vs.iter().map(ToString::to_string)),
+                Err(e) => violations.push(format!("simulator error: {e}")),
+            }
         }
+        self.verdict(violations)
     }
-    CellVerification {
-        regions,
-        violations,
+
+    /// The verdict on one cell. Violations carry trace context: one
+    /// event per message, so a `--trace-json` export pairs every
+    /// failure with the pass spans and load-site attribution recorded
+    /// around it.
+    fn verdict(&self, violations: Vec<String>) -> CellVerification {
+        if bsched_trace::enabled() {
+            for v in &violations {
+                bsched_trace::instant(
+                    bsched_trace::points::VERIFY_VIOLATION,
+                    v,
+                    &[("regions", self.regions as u64)],
+                );
+            }
+        }
+        CellVerification {
+            regions: self.regions,
+            violations,
+        }
     }
 }
 
@@ -213,7 +209,7 @@ mod tests {
             .build()
             .unwrap();
         let run = session.run().unwrap();
-        let v = verify_cell(&source, &options, &run.metrics);
+        let v = audit_compile(&source, &options).verify_cell(options.sim, &run.metrics);
         assert!(v.regions > 0);
         assert!(v.is_clean(), "violations: {:#?}", v.violations);
     }
@@ -222,7 +218,8 @@ mod tests {
     fn a_real_cell_verifies_clean_under_sampling() {
         let source = SourceProgram::from(resolve_kernel("TRFD").unwrap());
         let options = CompileOptions::new(SchedulerKind::Balanced);
-        let v = verify_cell_sampled(&source, &options, SampleConfig::default());
+        let v = audit_compile(&source, &options)
+            .verify_cell_sampled(options.sim, SampleConfig::default());
         assert!(v.regions > 0);
         assert!(v.is_clean(), "violations: {:#?}", v.violations);
     }
@@ -238,7 +235,7 @@ mod tests {
             .unwrap();
         let mut metrics = session.run().unwrap().metrics;
         metrics.cycles = 1; // below any plausible accounting floor
-        let v = verify_cell(&source, &options, &metrics);
+        let v = audit_compile(&source, &options).verify_cell(options.sim, &metrics);
         assert!(!v.is_clean());
     }
 }

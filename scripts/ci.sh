@@ -31,6 +31,13 @@ lines="$(printf '%s\n' "$cold" | wc -l)"
 # however many of its 15 cells execute: 2 kernels, 2 reference runs.
 grep -q ", 2 reference runs$" "$SMOKE_CACHE/cold.err" \
     || { cat "$SMOKE_CACHE/cold.err"; echo "FAIL: expected 2 reference runs"; exit 1; }
+# A kernel's compile keys share their front ends (6 distinct per
+# kernel), and cells whose compiled programs are equal share one
+# simulation per machine: 12 fronts and 23 simulations for 30 cells.
+grep -q ", 12 fronts," "$SMOKE_CACHE/cold.err" \
+    || { cat "$SMOKE_CACHE/cold.err"; echo "FAIL: expected 12 fronts"; exit 1; }
+grep -q ", 23 simulations," "$SMOKE_CACHE/cold.err" \
+    || { cat "$SMOKE_CACHE/cold.err"; echo "FAIL: expected 23 simulations"; exit 1; }
 
 echo "== verify gate: conformance suite on 2 kernels + fuzz smoke =="
 # Re-runs the same subset under --verify: every cell's schedule is
@@ -144,6 +151,9 @@ for eng in interpret block; do
     # 2 kernels x 3 arms = 6 compiles for 18 cells.
     grep -q ", 6 compiles," "$MACH_ERR" \
         || { cat "$MACH_ERR"; echo "FAIL: machines $eng expected 6 compiles"; exit 1; }
+    # All three arms run at LU4, so each kernel has one front end.
+    grep -q ", 2 fronts," "$MACH_ERR" \
+        || { cat "$MACH_ERR"; echo "FAIL: machines $eng expected 2 fronts"; exit 1; }
     if [ -z "$MACH_OUT" ]; then
         MACH_OUT="$mach"
     else
